@@ -81,8 +81,11 @@ def main() -> int:
     report = state.ingest([(new_user, 0), (new_user, 3), (new_user, new_item), (1, new_item)])
     folded = fold_into_service(service, state)
     stream = service.stats()["stream"]
-    if stream["folded_users"] != sorted({1, new_user}) or stream["folded_items"] != [new_item]:
-        return fail(f"unexpected provenance {stream}")
+    if stream != {"stream_generation": 1, "n_folded_users": 2, "n_folded_items": 1}:
+        return fail(f"unexpected service stream stats {stream}")
+    provenance = folded.meta["stream"]
+    if provenance["folded_users"] != sorted({1, new_user}) or provenance["folded_items"] != [new_item]:
+        return fail(f"unexpected provenance {provenance}")
     items, scores = service.recommend(new_user, k=10, exclude_seen=True)
     if not np.all(np.isfinite(scores)):
         return fail("non-finite scores for the folded user")

@@ -2,7 +2,7 @@
 
 The compute seam (``repro.backend``) only works if every hot-path module
 actually goes through it: a stray ``np.cosh`` in ``repro.manifolds`` or
-``repro.serve.scoring`` silently pins that call site to the reference
+``repro.families`` silently pins that call site to the reference
 kernels and the ``--backend fused`` switch stops covering it.  This pack
 keeps the seam honest — advisory (``warn``) severity, because shape and
 bookkeeping numpy (``np.sum``, ``np.concatenate``, indexing helpers) is
@@ -39,7 +39,7 @@ _KERNEL_FUNCS = frozenset({
 
 # Modules routed through the backend seam (exact names and prefixes).
 _ROUTED_MODULES = frozenset({
-    "repro.serve.scoring",
+    "repro.families",
     "repro.autodiff.tensor",
     "repro.autodiff.ops",
     "repro.autodiff.functional",
@@ -83,8 +83,8 @@ class BackendDiscipline(Rule):
     """Kernel-grade numpy calls in backend-routed modules must use the seam.
 
     Flags ``np.<kernel>``/``numpy.<kernel>``/``np.linalg.norm`` calls in
-    ``repro.manifolds.*``, ``repro.retrieval.*``, ``repro.serve.scoring``
-    and the autodiff op modules, where ``<kernel>`` is part of the
+    ``repro.manifolds.*``, ``repro.retrieval.*``, ``repro.stream.*``,
+    ``repro.families`` and the autodiff op modules, where ``<kernel>`` is part of the
     surface ``KernelBackend`` abstracts (transcendentals,
     matmul/outer/einsum, norm).  Reference twins (``*_reference*``
     functions), ``repro.manifolds.constants`` and ``repro.backend.*``

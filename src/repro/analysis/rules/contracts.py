@@ -1,12 +1,7 @@
 """Cross-module contract rules (project pass).
 
-Three repo-wide invariants that no single file shows on its own:
+Two repo-wide invariants that no single file shows on its own:
 
-* **frozen-scores-contract** — the serving export contract (PR 4): every
-  model reachable from ``repro.models.registry.MODEL_REGISTRY`` must define
-  or inherit ``frozen_scores``, and every ``frozen_scores`` implementation
-  must name a score-fn id that ``repro.serve.scoring`` actually registers.
-  An unregistered id only fails at export time, on the model that uses it.
 * **reference-twin** — the differential-testing contract (PR 2): every
   public vectorized function with a pinned ``*_reference`` twin keeps an
   interface the twin can stand in for, and the twin is exercised by name in
@@ -27,160 +22,7 @@ from typing import Iterable, Iterator
 from ..project import ClassInfo, ModuleInfo, ProjectContext
 from ..registry import ProjectRule, Violation, register_project
 
-_REGISTRY_SUFFIX = "models/registry.py"
-_SCORING_SUFFIX = "serve/scoring.py"
 _DIFF_TEST_NAME = "test_vectorized_vs_reference.py"
-
-
-def _str_constants(node: ast.AST, func: ast.FunctionDef | None = None) -> list[str]:
-    """All string literals an expression can evaluate to (best effort).
-
-    Resolves constants, ``a if cond else b`` conditionals, and one level of
-    local ``name = ...`` assignment inside ``func``.  Anything else yields
-    nothing — unknown, never guessed.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return [node.value]
-    if isinstance(node, ast.IfExp):
-        return _str_constants(node.body, func) + _str_constants(node.orelse, func)
-    if isinstance(node, ast.Name) and func is not None:
-        values: list[str] = []
-        for sub in ast.walk(func):
-            if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-                target = sub.targets[0]
-                if isinstance(target, ast.Name) and target.id == node.id:
-                    values.extend(_str_constants(sub.value))
-        return values
-    return []
-
-
-def _score_fn_ids(method: ast.FunctionDef) -> list[tuple[ast.AST, list[str]]]:
-    """(anchor node, resolvable ids) per ``score_fn`` entry returned."""
-    out = []
-    for node in ast.walk(method):
-        if isinstance(node, ast.Dict):
-            for key, value in zip(node.keys, node.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and key.value == "score_fn"
-                    and value is not None
-                ):
-                    out.append((value, _str_constants(value, method)))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "dict":
-                for kw in node.keywords:
-                    if kw.arg == "score_fn":
-                        out.append((kw.value, _str_constants(kw.value, method)))
-    return out
-
-
-def _registered_score_ids(scoring: ModuleInfo) -> set[str]:
-    """Score-fn ids registered in the scoring module (``_register("id", ...)``)."""
-    ids: set[str] = set()
-    for node in ast.walk(scoring.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-        if name == "_register" and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                ids.add(first.value)
-        elif name == "SCORE_FNS":
-            continue
-    # Direct ``SCORE_FNS["id"] = fn`` assignments count too.
-    for node in ast.walk(scoring.tree):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "SCORE_FNS"
-                    and isinstance(target.slice, ast.Constant)
-                    and isinstance(target.slice.value, str)
-                ):
-                    ids.add(target.slice.value)
-    return ids
-
-
-def _registry_entries(registry: ModuleInfo) -> Iterator[tuple[str, ast.AST]]:
-    """(model name, value node) pairs of the ``MODEL_REGISTRY`` dict literal."""
-    value = registry.assigns.get("MODEL_REGISTRY")
-    if not isinstance(value, ast.Dict):
-        return
-    for key, entry in zip(value.keys, value.values):
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            yield key.value, entry
-
-
-def _resolve_registry_class(
-    project: ProjectContext, registry: ModuleInfo, entry: ast.AST
-) -> ClassInfo | None:
-    """Resolve a registry value (class name or local factory) to a class."""
-    if not isinstance(entry, ast.Name):
-        return None
-    direct = project.resolve_class(entry.id)
-    if direct is not None:
-        return direct
-    factory = registry.functions.get(entry.id)
-    if factory is not None and isinstance(factory.returns, (ast.Name, ast.Attribute)):
-        text = factory.returns.id if isinstance(factory.returns, ast.Name) else factory.returns.attr
-        return project.resolve_class(text)
-    return None
-
-
-@register_project
-class FrozenScoresContract(ProjectRule):
-    """Registry models and ``repro.serve.scoring`` must stay in lock-step."""
-
-    name = "frozen-scores-contract"
-    description = (
-        "registered model without a frozen_scores() serving contract, or a "
-        "frozen_scores() naming a score-fn id repro.serve.scoring does not register"
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterable[Violation]:
-        registry = project.find_module(_REGISTRY_SUFFIX)
-        scoring = project.find_module(_SCORING_SUFFIX)
-        if registry is None or scoring is None:
-            return  # not a tree that carries the serving contract
-        score_ids = _registered_score_ids(scoring)
-
-        checked: set[int] = set()
-        for model_name, entry in _registry_entries(registry):
-            info = _resolve_registry_class(project, registry, entry)
-            if info is None:
-                continue  # opaque entry (lambda, import alias): never guess
-            if project.find_method(info, "frozen_scores") is None:
-                yield self.violation(
-                    project,
-                    registry,
-                    entry,
-                    f"registered model {model_name!r} ({info.name}) neither defines "
-                    "nor inherits frozen_scores(); it cannot be exported by "
-                    "repro.serve",
-                )
-            if id(info) in checked:
-                continue
-            checked.add(id(info))
-
-        for infos in project.classes_by_name.values():
-            for info in infos:
-                method = info.methods.get("frozen_scores")
-                if method is None:
-                    continue
-                for anchor, ids in _score_fn_ids(method):
-                    for score_id in ids:
-                        if score_id not in score_ids:
-                            yield self.violation(
-                                project,
-                                info.module,
-                                anchor,
-                                f"{info.name}.frozen_scores() names score_fn "
-                                f"{score_id!r}, which {scoring.name} does not "
-                                "register; the export would be rejected at "
-                                "serving time",
-                            )
 
 
 def _twin_candidates(reference_name: str) -> list[str]:

@@ -4,8 +4,8 @@ A :class:`KernelBackend` is the only thing the numeric layers of the repo
 are allowed to call for transcendental math, matrix products and the
 fused distance/map chains: ``repro.autodiff`` routes its elementwise and
 matmul primitives here, ``repro.manifolds`` routes the Lorentz / Poincaré
-/ Klein kernels, ``repro.serve.scoring`` routes the frozen score
-functions, and ``repro.eval`` routes top-K selection.  Swapping the
+/ Klein kernels, ``repro.families`` routes the score functions (live and
+frozen), and ``repro.eval`` routes top-K selection.  Swapping the
 active backend (``REPRO_BACKEND``, ``--backend`` or
 :func:`repro.backend.set_backend`) swaps the implementation under *all*
 of them at once — which is exactly what keeps live models and frozen

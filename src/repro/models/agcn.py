@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, binary_cross_entropy_with_logits, concat, no_grad
+from ..autodiff import Parameter, Tensor, binary_cross_entropy_with_logits, concat
 from ..data import InteractionDataset
 from ..manifolds.constants import LOG_EPS
 from .base import Recommender, TrainConfig
@@ -23,6 +23,7 @@ class AGCN(Recommender):
     """Attribute-seeded graph CF with an attribute-inference auxiliary loss."""
 
     name = "AGCN"
+    score_fn = "dot"
 
     def __init__(
         self,
@@ -71,17 +72,7 @@ class AGCN(Recommender):
         attr_loss = binary_cross_entropy_with_logits(logits, self._tag_targets[pos])
         return loss + self.attribute_weight * attr_loss
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            zu, zv = self._encode()
-            return zu.data[users] @ zv.data.T
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Inner product over the attribute-augmented propagated embeddings."""
-        with no_grad():
-            zu, zv = self._encode()
-            return {
-                "score_fn": "dot",
-                "arrays": {"user": zu.data.copy(), "item": zv.data.copy()},
-            }
+        zu, zv = self._encode()
+        return {"user": zu.data, "item": zv.data}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, no_grad
+from ..autodiff import Parameter, Tensor
 from ..data import InteractionDataset
 from ..manifolds.constants import LOG_EPS
 from .base import Recommender, TrainConfig
@@ -21,6 +21,7 @@ class AMF(Recommender):
     """MF with an additive tag-aspect affinity head, BPR-optimised."""
 
     name = "AMF"
+    score_fn = "dot_aspect"
 
     def __init__(
         self,
@@ -61,23 +62,12 @@ class AMF(Recommender):
             loss = term if loss is None else loss + term
         return loss / neg.shape[1]
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            base = self.user_emb.data[users] @ self.item_emb.data.T
-            item_aspects = self._tag_features @ self.tag_emb.data  # (n_items, dt)
-            aspect = self.user_aspect.data[users] @ item_aspects.T
-            return base + self.aspect_weight * aspect
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Collaborative factors plus the precomputed per-item aspect tower."""
         return {
-            "score_fn": "dot_aspect",
-            "arrays": {
-                "user": self.user_emb.data.copy(),
-                "item": self.item_emb.data.copy(),
-                "user_aspect": self.user_aspect.data.copy(),
-                "item_aspect": self._tag_features @ self.tag_emb.data,
-                "aspect_weight": np.asarray(self.aspect_weight, dtype=np.float64),
-            },
+            "user": self.user_emb.data,
+            "item": self.item_emb.data,
+            "user_aspect": self.user_aspect.data,
+            "item_aspect": self._tag_features @ self.tag_emb.data,
+            "aspect_weight": np.asarray(self.aspect_weight, dtype=np.float64),
         }

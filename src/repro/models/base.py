@@ -1,9 +1,17 @@
 """Shared recommender API.
 
-Every model (TaxoRec and all 14 baselines) implements three hooks —
-:meth:`Recommender.loss_batch`, :meth:`Recommender.score_users` and
-optionally :meth:`Recommender.begin_epoch` — and inherits a common
-triplet-sampled training loop with validation-based early stopping.
+Every model (TaxoRec and all 14 baselines) implements
+:meth:`Recommender.loss_batch`, optionally :meth:`Recommender.begin_epoch`,
+and its scorer, and inherits a common triplet-sampled training loop with
+validation-based early stopping.
+
+A factorised model declares its scorer as a ``score_fn`` id plus
+:meth:`Recommender.frozen_arrays`; :meth:`Recommender.score_users` and
+:meth:`Recommender.frozen_scores` are then written once, here, through
+the :class:`~repro.families.ScoreFamily` of that id — the same call the
+serving stack makes on the exported arrays.  Dense models (no factorised
+scorer) override :meth:`Recommender.score_users` instead and export the
+full score matrix.
 
 The loop itself lives in :mod:`repro.train`: :meth:`Recommender.fit` is a
 thin shim that builds a default :class:`repro.train.Trainer` whose callback
@@ -18,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import Module, Tensor
+from ..autodiff import Module, Tensor, no_grad
 from ..data import InteractionDataset, Split
+from ..families import FAMILIES
 from ..utils import ensure_rng
 
 __all__ = ["TrainConfig", "Recommender"]
@@ -62,6 +71,8 @@ class Recommender(Module):
     """Base class: construct with the *training* interactions and a config."""
 
     name = "base"
+    #: Frozen score-fn id (:mod:`repro.families`) of :meth:`frozen_arrays`.
+    score_fn = "dense"
 
     def __init__(self, train: InteractionDataset, config: TrainConfig | None = None):
         self.train_data = train
@@ -78,7 +89,9 @@ class Recommender(Module):
 
     def score_users(self, users: np.ndarray) -> np.ndarray:
         """``(len(users), n_items)`` scores, larger = better recommendation."""
-        raise NotImplementedError
+        with no_grad():
+            arrays = self.frozen_arrays()
+        return FAMILIES[self.score_fn].score(arrays, users)
 
     def begin_epoch(self, epoch: int) -> None:
         """Hook before each epoch (TaxoRec rebuilds its taxonomy here)."""
@@ -92,20 +105,16 @@ class Recommender(Module):
 
         return Adam(list(self.parameters()), lr=self.config.lr, weight_decay=self.config.weight_decay)
 
-    def frozen_scores(self) -> dict:
-        """Frozen-scoring payload for :mod:`repro.serve` export.
+    def frozen_arrays(self) -> dict:
+        """The arrays ``score_fn`` scores with, as views of the live state.
 
-        Returns ``{"score_fn": <id>, "arrays": {name: ndarray}}`` such
-        that the registered pure-numpy function
-        ``repro.serve.scoring.SCORE_FNS[<id>]`` reproduces
-        :meth:`score_users` from the arrays alone — aggregation (GCN
-        layers, tag midpoints) already applied, no autodiff graph.
-
-        Models whose scorer factorises into fixed user/item arrays
-        override this with the matching score-fn id; the default densifies
-        :meth:`score_users` over the whole user set (``"dense"``), which is
-        correct for *any* model at O(n_users · n_items) artifact size.
+        Called under ``no_grad``.  Factorised models return their final
+        embeddings (GCN layers and tag aggregation applied); the default
+        densifies :meth:`score_users` over the whole user set, the
+        ``"dense"`` family, correct for any model at O(n_users · n_items).
         """
+        if type(self).score_users is Recommender.score_users:
+            raise NotImplementedError(f"{type(self).__name__} defines neither frozen_arrays nor score_users")
         n_users = self.train_data.n_users
         chunks = [
             np.asarray(self.score_users(np.arange(start, min(start + 512, n_users))))
@@ -116,7 +125,32 @@ class Recommender(Module):
             if chunks
             else np.zeros((0, self.train_data.n_items))
         )
-        return {"score_fn": "dense", "arrays": {"scores": scores.astype(np.float64, copy=False)}}
+        return {"scores": scores.astype(np.float64, copy=False)}
+
+    def frozen_scores(self) -> dict:
+        """Frozen-scoring payload for :mod:`repro.serve` export.
+
+        ``{"score_fn": <id>, "arrays": {name: ndarray}}``.  Arrays of
+        :meth:`frozen_arrays` that may alias live state (parameter data or
+        array attributes) are copied, so the exported payload is
+        independent of further training; arrays built fresh for the call,
+        such as a dense score matrix, are exported without a second copy.
+        """
+        with no_grad():
+            arrays = self.frozen_arrays()
+        live = [p.data for p in self.parameters()]
+        live += [
+            value.data if isinstance(value, Tensor) else value
+            for value in vars(self).values()
+            if isinstance(value, (Tensor, np.ndarray))
+        ]
+        return {
+            "score_fn": self.score_fn,
+            "arrays": {
+                name: np.array(arr) if any(np.may_share_memory(arr, state) for state in live) else arr
+                for name, arr in arrays.items()
+            },
+        }
 
     def extra_state(self) -> dict:
         """JSON-serialisable non-parameter state for checkpoints.

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, hinge, no_grad
-from ..backend import get_backend
+from ..autodiff import Parameter, Tensor, hinge
 from ..data import InteractionDataset
 from ..manifolds.constants import DIV_EPS
 from .base import Recommender, TrainConfig
@@ -31,6 +30,7 @@ class CML(Recommender):
     """Euclidean metric learning with the hinge triplet loss."""
 
     name = "CML"
+    score_fn = "neg_sq_euclid"
 
     def __init__(self, train: InteractionDataset, config: TrainConfig | None = None):
         super().__init__(train, config)
@@ -63,21 +63,9 @@ class CML(Recommender):
         _clip_to_ball(self.user_emb.data)
         _clip_to_ball(self.item_emb.data)
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            u = self.user_emb.data[users]  # (b, d)
-            v = self.item_emb.data  # (n, d)
-            # ||u - v||² expanded to matmuls (avoids a (b, n, d) temporary);
-            # the same backend kernel serves the frozen neg_sq_euclid path.
-            return -get_backend().sq_dist_euclid_gram(u, v)
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Negated squared Euclidean distances in the metric space."""
-        return {
-            "score_fn": "neg_sq_euclid",
-            "arrays": {"user": self.user_emb.data.copy(), "item": self.item_emb.data.copy()},
-        }
+        return {"user": self.user_emb.data, "item": self.item_emb.data}
 
 
 class CMLF(CML):

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, hinge, no_grad
-from ..backend import get_backend
+from ..autodiff import Parameter, Tensor, hinge
 from ..data import InteractionDataset
 from ..manifolds import Lorentz
 from ..optim import RiemannianSGD
@@ -25,6 +24,7 @@ class HGCF(Recommender):
     """Hyperbolic GCN over the user-item graph."""
 
     name = "HGCF"
+    score_fn = "neg_sq_lorentz"
 
     def __init__(self, train: InteractionDataset, config: TrainConfig | None = None):
         super().__init__(train, config)
@@ -61,18 +61,7 @@ class HGCF(Recommender):
             loss = term if loss is None else loss + term
         return loss / neg.shape[1]
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            hu, hv = self._encode()
-            u, v = hu.data[users], hv.data
-            return -get_backend().sq_dist_lorentz(u, v)
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Negated squared Lorentz distances over the GCN-propagated points."""
-        with no_grad():
-            hu, hv = self._encode()
-            return {
-                "score_fn": "neg_sq_lorentz",
-                "arrays": {"user": hu.data.copy(), "item": hv.data.copy()},
-            }
+        hu, hv = self._encode()
+        return {"user": hu.data, "item": hv.data}

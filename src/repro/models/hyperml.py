@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, hinge, no_grad
-from ..backend import get_backend
+from ..autodiff import Parameter, Tensor, hinge
 from ..data import InteractionDataset
 from ..manifolds import Lorentz
 from ..optim import RiemannianSGD
@@ -26,6 +25,7 @@ class HyperML(Recommender):
     """Lorentz-model hyperbolic metric learning."""
 
     name = "HyperML"
+    score_fn = "neg_sq_lorentz"
 
     def __init__(self, train: InteractionDataset, config: TrainConfig | None = None):
         super().__init__(train, config)
@@ -54,16 +54,6 @@ class HyperML(Recommender):
             loss = term if loss is None else loss + term
         return loss / neg.shape[1]
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            u = self.user_emb.data[users]  # (b, d+1)
-            v = self.item_emb.data  # (n, d+1)
-            return -get_backend().sq_dist_lorentz(u, v)
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Negated squared Lorentz distances between the raw hyperboloid points."""
-        return {
-            "score_fn": "neg_sq_lorentz",
-            "arrays": {"user": self.user_emb.data.copy(), "item": self.item_emb.data.copy()},
-        }
+        return {"user": self.user_emb.data, "item": self.item_emb.data}

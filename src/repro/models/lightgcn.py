@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, no_grad
+from ..autodiff import Parameter, Tensor
 from ..data import InteractionDataset
 from ..manifolds.constants import LOG_EPS
 from .base import Recommender, TrainConfig
@@ -17,6 +17,7 @@ class LightGCN(Recommender):
     """Embedding propagation without transforms or nonlinearities."""
 
     name = "LightGCN"
+    score_fn = "dot"
 
     def __init__(self, train: InteractionDataset, config: TrainConfig | None = None):
         super().__init__(train, config)
@@ -43,17 +44,7 @@ class LightGCN(Recommender):
             loss = term if loss is None else loss + term
         return loss / neg.shape[1]
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            zu, zv = self._encode()
-            return zu.data[users] @ zv.data.T
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Inner product over *propagated* embeddings (GCN layers baked in)."""
-        with no_grad():
-            zu, zv = self._encode()
-            return {
-                "score_fn": "dot",
-                "arrays": {"user": zu.data.copy(), "item": zv.data.copy()},
-            }
+        zu, zv = self._encode()
+        return {"user": zu.data, "item": zv.data}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, no_grad
+from ..autodiff import Parameter, Tensor
 from ..data import InteractionDataset, Split
 from ..manifolds.constants import LOG_EPS, MULT_UPDATE_EPS
 from .base import Recommender, TrainConfig
@@ -22,6 +22,7 @@ class BPRMF(Recommender):
     """BPR-optimised matrix factorisation with item biases."""
 
     name = "BPRMF"
+    score_fn = "dot_bias"
 
     def __init__(self, train: InteractionDataset, config: TrainConfig | None = None):
         super().__init__(train, config)
@@ -48,21 +49,12 @@ class BPRMF(Recommender):
             loss = term if loss is None else loss + term
         return loss / neg.shape[1]
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            u = self.user_emb.data[users]
-            return u @ self.item_emb.data.T + self.item_bias.data[:, 0][None, :]
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Biased inner product: user/item factors plus the item bias column."""
         return {
-            "score_fn": "dot_bias",
-            "arrays": {
-                "user": self.user_emb.data.copy(),
-                "item": self.item_emb.data.copy(),
-                "item_bias": self.item_bias.data[:, 0].copy(),
-            },
+            "user": self.user_emb.data,
+            "item": self.item_emb.data,
+            "item_bias": self.item_bias.data[:, 0],
         }
 
 
@@ -70,6 +62,7 @@ class NMF(Recommender):
     """Non-negative MF via multiplicative updates on the binary matrix."""
 
     name = "NMF"
+    score_fn = "dot"
 
     def __init__(self, train: InteractionDataset, config: TrainConfig | None = None):
         super().__init__(train, config)
@@ -90,16 +83,9 @@ class NMF(Recommender):
                 self.history.append({"epoch": epoch})
         return self
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        return self.W[users] @ self.H
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Plain inner product of the non-negative factors (H stored item-major)."""
-        return {
-            "score_fn": "dot",
-            "arrays": {"user": self.W.copy(), "item": np.ascontiguousarray(self.H.T)},
-        }
+        return {"user": self.W, "item": np.ascontiguousarray(self.H.T)}
 
     def parameters(self):  # NMF is not autodiff-trained
         return iter(())

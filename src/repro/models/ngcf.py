@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, concat, no_grad
+from ..autodiff import Parameter, Tensor, concat
 from ..data import InteractionDataset
 from ..manifolds.constants import LOG_EPS
 from .base import Recommender, TrainConfig
@@ -21,6 +21,7 @@ class NGCF(Recommender):
     """Graph CF with transformed + bi-interaction messages."""
 
     name = "NGCF"
+    score_fn = "dot"
 
     def __init__(self, train: InteractionDataset, config: TrainConfig | None = None):
         super().__init__(train, config)
@@ -62,17 +63,7 @@ class NGCF(Recommender):
             loss = term if loss is None else loss + term
         return loss / neg.shape[1]
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            zu, zv = self._encode()
-            return zu.data[users] @ zv.data.T
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Inner product over the propagated (multi-layer concat) embeddings."""
-        with no_grad():
-            zu, zv = self._encode()
-            return {
-                "score_fn": "dot",
-                "arrays": {"user": zu.data.copy(), "item": zv.data.copy()},
-            }
+        zu, zv = self._encode()
+        return {"user": zu.data, "item": zv.data}

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, hinge, no_grad
-from ..backend import get_backend
+from ..autodiff import Parameter, Tensor, hinge
 from ..data import InteractionDataset
 from .base import Recommender, TrainConfig
 from .cml import _clip_to_ball
@@ -22,6 +21,7 @@ class SML(Recommender):
     """Symmetric hinge with learnable adaptive margins."""
 
     name = "SML"
+    score_fn = "neg_sq_euclid"
 
     def __init__(
         self,
@@ -67,16 +67,6 @@ class SML(Recommender):
         _clip_to_ball(self.user_emb.data)
         _clip_to_ball(self.item_emb.data)
 
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            u = self.user_emb.data[users]
-            v = self.item_emb.data
-            return -get_backend().sq_dist_euclid_gram(u, v)
-
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Negated squared Euclidean distances (margins only shape training)."""
-        return {
-            "score_fn": "neg_sq_euclid",
-            "arrays": {"user": self.user_emb.data.copy(), "item": self.item_emb.data.copy()},
-        }
+        return {"user": self.user_emb.data, "item": self.item_emb.data}

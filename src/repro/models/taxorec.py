@@ -319,40 +319,27 @@ class TaxoRec(Recommender):
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def score_users(self, users) -> np.ndarray:
-        """``(len(users), n_items)`` scores against the full catalogue; higher is better."""
-        with no_grad():
-            u_ir, v_ir, u_tg, v_tg = self._encode()
-            alpha = self._alpha[users][:, None]
-            if self.hyperbolic:
-                d_ir = _pairwise_sq_dist_lorentz(u_ir.data[users], v_ir.data)
-                d_tg = _pairwise_sq_dist_lorentz(u_tg.data[users], v_tg.data)
-            else:
-                d_ir = _pairwise_sq_dist_euclid(u_ir.data[users], v_ir.data)
-                d_tg = _pairwise_sq_dist_euclid(u_tg.data[users], v_tg.data)
-            return -(d_ir + alpha * d_tg)
+    @property
+    def score_fn(self) -> str:
+        """Eq. 17 over Lorentz distances, or the Euclidean ablation's twin."""
+        return "two_channel_lorentz" if self.hyperbolic else "two_channel_euclid"
 
-    def frozen_scores(self) -> dict:
-        """Two-channel payload for Eq. 17: encoded points plus α·β weights.
+    def frozen_arrays(self) -> dict:
+        """Two-channel arrays for Eq. 17: encoded points plus α·β weights.
 
         Local tag aggregation (Eqs. 9–11) and the global tangent-space GCN
-        (Eqs. 12–15) are applied *before* freezing, so serving needs only
+        (Eqs. 12–15) are applied *before* freezing, so scoring needs only
         pairwise distances over the four final embedding tables and the
         per-user personalised weight ``α_u · β``.
         """
-        with no_grad():
-            u_ir, v_ir, u_tg, v_tg = self._encode()
-            score_fn = "two_channel_lorentz" if self.hyperbolic else "two_channel_euclid"
-            return {
-                "score_fn": score_fn,
-                "arrays": {
-                    "user_ir": u_ir.data.copy(),
-                    "item_ir": v_ir.data.copy(),
-                    "user_tg": u_tg.data.copy(),
-                    "item_tg": v_tg.data.copy(),
-                    "alpha": self._alpha.copy(),
-                },
-            }
+        u_ir, v_ir, u_tg, v_tg = self._encode()
+        return {
+            "user_ir": u_ir.data,
+            "item_ir": v_ir.data,
+            "user_tg": u_tg.data,
+            "item_tg": v_tg.data,
+            "alpha": self._alpha,
+        }
 
     def user_tag_distances(self, users: np.ndarray) -> np.ndarray:
         """Distances from users' tag-relevant embeddings to every tag.
@@ -375,10 +362,6 @@ class TaxoRec(Recommender):
 def _pairwise_sq_dist_lorentz(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pairwise squared hyperbolic distances between Lorentz row sets."""
     return get_backend().sq_dist_lorentz(u, v)
-
-
-def _pairwise_sq_dist_euclid(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return get_backend().sq_dist_euclid_broadcast(u, v)
 
 
 def _poincare_log0(x: Tensor) -> Tensor:

@@ -53,7 +53,7 @@ class Random(Recommender):
     def score_users(self, users) -> np.ndarray:
         return self.rng.random((len(users), self.train_data.n_items))
 
-    def frozen_scores(self) -> dict:
+    def frozen_arrays(self) -> dict:
         """Seed-deterministic dense snapshot (idempotent exports).
 
         A live ``Random`` draws fresh scores per call, so a frozen export
@@ -64,8 +64,7 @@ class Random(Recommender):
         queried before exporting.
         """
         rng = ensure_rng(self.config.seed)
-        scores = rng.random((self.train_data.n_users, self.train_data.n_items))
-        return {"score_fn": "dense", "arrays": {"scores": scores}}
+        return {"scores": rng.random((self.train_data.n_users, self.train_data.n_items))}
 
     def parameters(self):
         return iter(())

@@ -46,6 +46,7 @@ import numpy as np
 from ..backend import get_backend
 from ..backend.constants import RETRIEVAL_BOUND_SLACK
 from ..eval.metrics import rank_topk
+from ..families import FAMILIES
 from .reduction import Reduction, ReductionUnsupported, reduce_score_fn
 
 __all__ = [
@@ -294,10 +295,11 @@ class BucketedIndex(_ReducedIndex):
     with ``slack = RETRIEVAL_BOUND_SLACK`` absorbing float64 rounding
     (the Hypothesis suite hammers this inequality).
 
-    For ``neg_sq_lorentz`` a second provable bound is intersected in.
-    On the hyperboloid the reduced score is ``r = ⟨u, v⟩_L = -cosh
-    d(u, v)``, and the reverse triangle inequality gives ``d(u, v) ≥
-    |ρ(u) - ρ(v)|`` for the radial coordinates ``ρ = arccosh(x₀)`` — so
+    For a Lorentz family (``neg_sq_lorentz``) a second provable bound is
+    intersected in.  On the hyperboloid the reduced score is
+    ``r = ⟨u, v⟩_L = -cosh d(u, v)``, and the reverse triangle inequality
+    gives ``d(u, v) ≥ |ρ(u) - ρ(v)|`` for the radial coordinates
+    ``ρ = arccosh(x₀)`` — so
     ``r ≤ -cosh(gap_B)`` where ``gap_B`` is the distance from the
     query's radius to the bucket's radial interval.  Sorting by reduced
     vector norm **is** sorting by radius (``‖x‖² = 2x₀² - 1`` on the
@@ -350,9 +352,9 @@ class BucketedIndex(_ReducedIndex):
         )
         self._max_bias = np.asarray([self._bias[lo:hi].max() for lo, hi in self._slices])
         self._radial: tuple[np.ndarray, np.ndarray] | None = None
-        if self.reduction.score_fn == "neg_sq_lorentz":
-            # item_vectors are raw hyperboloid rows: column 0 is the time
-            # coordinate cosh(ρ), monotone in the radius ρ.
+        if FAMILIES[self.reduction.score_fn].lorentz:
+            # Reducible hyperboloid families keep raw rows as item_vectors:
+            # column 0 is the time coordinate cosh(ρ), monotone in ρ.
             times = self._vectors[:, 0]
             rho = xp.arccosh(
                 np.maximum(

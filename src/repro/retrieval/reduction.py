@@ -1,292 +1,39 @@
-"""Score-fn reductions: rewrite frozen scorers as inner-product + bias.
+"""Score-fn reductions: frozen scorers rewritten as inner-product + bias.
 
 The ASOS result ("Scalable Hyperbolic Recommender Systems", PAPERS.md)
-that makes hyperbolic serving ANN-friendly: the squared-Lorentz score
-``-d²(u, v)`` with ``d = arccosh(max(-⟨u, v⟩_L, 1))`` is a strictly
-monotone function of the Lorentz inner product, and that inner product is
-one ordinary matmul once the time column of the query is negated.  The
-same shape holds across most of the frozen score registry
-(:mod:`repro.serve.scoring`): every supported score-fn factors as
+that makes hyperbolic serving ANN-friendly: most frozen score-fns factor
+as ``exact(u, i) = finish(q(u)·x(i) + b(i)) + offset(u)`` with a
+monotone ``finish``, so a candidate index can rank by the cheap linear
+form and apply ``finish`` only to the candidates it returns.
 
-    exact(u, i) = finish(q(u) · x(i) + b(i)) + offset(u)
-
-where ``x``/``b`` are **item-side arrays precomputed at index build**,
-``q``/``offset`` are cheap per-query rewrites, and ``finish`` is an
-elementwise strictly monotone (non-decreasing) map.  Because ``finish``
-is monotone and ``offset`` is constant per query, ranking items by the
-*reduced* score ``q·x + b`` is ranking them by the exact score — so a
-candidate index can select on the cheap linear form and only apply
-``finish`` to the handful of candidates it returns.
-
-Reduction table (d' is the reduced width; derivations in
-``docs/RETRIEVAL.md``):
-
-| score_fn            | x(i)                                   | b(i)        | q(u)                               | finish(r)              |
-|---------------------|----------------------------------------|-------------|------------------------------------|------------------------|
-| ``dot``             | item                                   | 0           | user                               | r                      |
-| ``dot_bias``        | item                                   | item_bias   | user                               | r                      |
-| ``dot_aspect``      | [item, item_aspect]                    | 0           | [user, w·user_aspect]              | r                      |
-| ``neg_sq_euclid``   | item                                   | -‖item‖²    | 2·user                             | r  (offset = -‖u‖²)    |
-| ``neg_sq_lorentz``  | item                                   | 0           | [-u₀, u₁…]                         | -arccosh(max(-r,1))²   |
-| ``two_channel_euclid`` | [i_ir, i_tg, ‖i_ir‖², ‖i_tg‖²]      | 0           | [2u_ir, 2αu_tg, -1, -α]            | r  (offset per user)   |
-
-``two_channel_lorentz`` (two coupled arccosh chains with a per-user
-mixing weight) and ``dense`` (the artifact *is* the score matrix; there
-is nothing to factor) raise :class:`ReductionUnsupported` — a typed
-signal the indexes catch to fall back to exact scoring, recorded in
-their provenance.
-
-Everything here routes matmul/norm/arccosh through
-:func:`repro.backend.get_backend` — the backend-discipline lint rule
-covers ``repro.retrieval.*`` exactly like the frozen scorers.
+Each reduction is defined next to the score it reduces, as
+:meth:`repro.families.ScoreFamily.reduce` — the per-id table of ``x``,
+``b``, ``q`` and ``finish`` is in :mod:`repro.families`, the derivations
+in ``docs/RETRIEVAL.md``.  A family without a reduced form
+(``two_channel_lorentz``, ``dense``) raises the typed
+:class:`ReductionUnsupported`, which the indexes catch to fall back to
+exact scoring, recorded in their provenance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
-
-from ..backend import get_backend
+from ..families import FAMILIES, Reduction, ReductionUnsupported
 
 __all__ = ["Reduction", "ReductionUnsupported", "reduce_score_fn", "reducible_score_fns"]
 
 
-class ReductionUnsupported(Exception):
-    """The score-fn has no inner-product-plus-bias form.
-
-    Carries the score-fn id and a human-readable reason; candidate
-    indexes catch this and fall back to exact scoring (recording the
-    fallback in their provenance) instead of guessing.
-    """
-
-    def __init__(self, score_fn: str, reason: str):
-        self.score_fn = score_fn
-        self.reason = reason
-        super().__init__(f"score_fn {score_fn!r} has no reduced form: {reason}")
-
-
-@dataclass
-class Reduction:
-    """One score-fn factored as ``finish(q·x + b) + offset``.
-
-    ``item_vectors`` (``(n_items, d')`` float64, C-contiguous) and
-    ``item_bias`` (``(n_items,)``) are the precomputed item side; they
-    are immutable once built and safe to share across threads.
-    """
-
-    score_fn: str
-    item_vectors: np.ndarray
-    item_bias: np.ndarray
-    _query: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    _finish: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    monotone: str = "strict"
-
-    @property
-    def n_items(self) -> int:
-        return int(self.item_vectors.shape[0])
-
-    @property
-    def reduced_dim(self) -> int:
-        return int(self.item_vectors.shape[1])
-
-    def query(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(Q, offsets)``: reduced query rows + per-user score offsets.
-
-        ``Q`` is ``(len(users), d')``; ``offsets`` is ``(len(users),)``
-        and is added *after* ``finish`` to recover exact score values.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        return self._query(users)
-
-    def reduced_scores(
-        self, queries: np.ndarray, lo: int = 0, hi: int | None = None
-    ) -> np.ndarray:
-        """``(m, hi-lo)`` reduced scores of query rows against an item slice.
-
-        Single-row queries are padded to a two-row batch (duplicate row,
-        first row kept) for the same reason :class:`FrozenScorer` pads:
-        BLAS dispatches a GEMV kernel for one-row products whose
-        reduction order differs from GEMM in the last bits, and index
-        queries must rank by the same bits as batched exact scoring.
-        """
-        hi = self.n_items if hi is None else hi
-        xp = get_backend()
-        block = self.item_vectors[lo:hi]
-        if queries.shape[0] == 1:
-            out = xp.matmul(np.repeat(queries, 2, axis=0), block.T)[:1]
-        else:
-            out = xp.matmul(queries, block.T)
-        return out + self.item_bias[lo:hi][None, :]
-
-    def finish(self, reduced: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Map reduced scores to exact score values (monotone + offset)."""
-        out = self._finish(np.asarray(reduced, dtype=np.float64))
-        return out + np.asarray(offsets, dtype=np.float64)[..., None]
-
-
-def _identity(reduced: np.ndarray) -> np.ndarray:
-    return reduced
-
-
-def _finish_neg_sq_lorentz(reduced: np.ndarray) -> np.ndarray:
-    # reduced = ⟨u, v⟩_L = spatial - time; the frozen kernel computes
-    # d = arccosh(max(time - spatial, 1)) and returns -d².  Strictly
-    # decreasing in -reduced ⇒ strictly increasing in reduced wherever
-    # the clamp is inactive; on the hyperboloid -⟨u,v⟩_L = cosh(d) >= 1
-    # with equality only at u == v, so the flat clamped region is a
-    # single point per query.
-    xp = get_backend()
-    d = xp.arccosh(np.maximum(-reduced, 1.0))
-    return -(d * d)
-
-
-def _row_sq_norms(x: np.ndarray) -> np.ndarray:
-    return (x * x).sum(axis=1)
-
-
-def _as_f64(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-
-
-def _reduce_dot(arrays: dict) -> Reduction:
-    item = _as_f64(arrays["item"])
-    user = arrays["user"]
-
-    def query(users):
-        q = np.asarray(user[users], dtype=np.float64)
-        return q, np.zeros(len(users), dtype=np.float64)
-
-    return Reduction("dot", item, np.zeros(item.shape[0]), query, _identity)
-
-
-def _reduce_dot_bias(arrays: dict) -> Reduction:
-    item = _as_f64(arrays["item"])
-    bias = _as_f64(arrays["item_bias"])
-    user = arrays["user"]
-
-    def query(users):
-        q = np.asarray(user[users], dtype=np.float64)
-        return q, np.zeros(len(users), dtype=np.float64)
-
-    return Reduction("dot_bias", item, bias, query, _identity)
-
-
-def _reduce_dot_aspect(arrays: dict) -> Reduction:
-    item = np.concatenate(
-        [_as_f64(arrays["item"]), _as_f64(arrays["item_aspect"])], axis=1
-    )
-    item = np.ascontiguousarray(item)
-    user, user_aspect = arrays["user"], arrays["user_aspect"]
-    weight = float(arrays["aspect_weight"])
-
-    def query(users):
-        q = np.concatenate(
-            [
-                np.asarray(user[users], dtype=np.float64),
-                weight * np.asarray(user_aspect[users], dtype=np.float64),
-            ],
-            axis=1,
-        )
-        return q, np.zeros(len(users), dtype=np.float64)
-
-    return Reduction("dot_aspect", item, np.zeros(item.shape[0]), query, _identity)
-
-
-def _reduce_neg_sq_euclid(arrays: dict) -> Reduction:
-    item = _as_f64(arrays["item"])
-    bias = -_row_sq_norms(item)
-    user = arrays["user"]
-
-    def query(users):
-        u = np.asarray(user[users], dtype=np.float64)
-        return 2.0 * u, -_row_sq_norms(u)
-
-    return Reduction("neg_sq_euclid", item, bias, query, _identity)
-
-
-def _reduce_neg_sq_lorentz(arrays: dict) -> Reduction:
-    item = _as_f64(arrays["item"])
-    user = arrays["user"]
-
-    def query(users):
-        q = np.asarray(user[users], dtype=np.float64).copy()
-        q[:, 0] = -q[:, 0]  # fold -u₀v₀ into the matmul: q·v = ⟨u, v⟩_L
-        return q, np.zeros(len(users), dtype=np.float64)
-
-    return Reduction(
-        "neg_sq_lorentz",
-        item,
-        np.zeros(item.shape[0]),
-        query,
-        _finish_neg_sq_lorentz,
-        monotone="strict-below-clamp",
-    )
-
-
-def _reduce_two_channel_euclid(arrays: dict) -> Reduction:
-    item_ir = _as_f64(arrays["item_ir"])
-    item_tg = _as_f64(arrays["item_tg"])
-    item = np.concatenate(
-        [
-            item_ir,
-            item_tg,
-            _row_sq_norms(item_ir)[:, None],
-            _row_sq_norms(item_tg)[:, None],
-        ],
-        axis=1,
-    )
-    item = np.ascontiguousarray(item)
-    user_ir, user_tg, alpha = arrays["user_ir"], arrays["user_tg"], arrays["alpha"]
-
-    def query(users):
-        u_ir = np.asarray(user_ir[users], dtype=np.float64)
-        u_tg = np.asarray(user_tg[users], dtype=np.float64)
-        a = np.asarray(alpha[users], dtype=np.float64)
-        q = np.concatenate(
-            [2.0 * u_ir, 2.0 * a[:, None] * u_tg, -np.ones((len(users), 1)), -a[:, None]],
-            axis=1,
-        )
-        offsets = -(_row_sq_norms(u_ir) + a * _row_sq_norms(u_tg))
-        return q, offsets
-
-    return Reduction("two_channel_euclid", item, np.zeros(item.shape[0]), query, _identity)
-
-
-_BUILDERS: dict[str, Callable[[dict], Reduction]] = {
-    "dot": _reduce_dot,
-    "dot_bias": _reduce_dot_bias,
-    "dot_aspect": _reduce_dot_aspect,
-    "neg_sq_euclid": _reduce_neg_sq_euclid,
-    "neg_sq_lorentz": _reduce_neg_sq_lorentz,
-    "two_channel_euclid": _reduce_two_channel_euclid,
-}
-
-_UNSUPPORTED: dict[str, str] = {
-    "two_channel_lorentz": (
-        "two coupled arccosh chains mixed by a per-user alpha; the sum of "
-        "two monotone maps of two different inner products is not itself a "
-        "monotone map of any single inner product"
-    ),
-    "dense": "the artifact is the score matrix; there is no factored form",
-}
-
-
 def reducible_score_fns() -> tuple[str, ...]:
-    """Score-fn ids with a registered reduction, in registration order."""
-    return tuple(_BUILDERS)
+    """Score-fn ids with a reduced form, in registration order."""
+    return tuple(name for name, family in FAMILIES.items() if family.no_reduce is None)
 
 
 def reduce_score_fn(score_fn: str, arrays: dict) -> Reduction:
     """Build the :class:`Reduction` for one frozen payload.
 
     Raises :class:`ReductionUnsupported` for score-fns with no factored
-    form (``two_channel_lorentz``, ``dense``) and for ids this build does
-    not know — an unknown id is by definition unreduced.
+    form and for ids this build does not know — an unknown id is by
+    definition unreduced.
     """
-    builder = _BUILDERS.get(score_fn)
-    if builder is not None:
-        return builder(arrays)
-    reason = _UNSUPPORTED.get(score_fn, "score_fn not registered in this build")
-    raise ReductionUnsupported(score_fn, reason)
+    if score_fn not in FAMILIES:
+        raise ReductionUnsupported(score_fn, "score_fn not registered in this build")
+    return FAMILIES[score_fn].reduce(arrays)

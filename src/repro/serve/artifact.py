@@ -27,15 +27,16 @@ import platform
 import sys
 import time
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..backend import get_backend
+from ..families import FAMILIES
 from ..retrieval import get_retrieval
 from .errors import ArtifactError, SchemaMismatchError, UnknownScoreFnError
-from .scoring import SCORE_FNS, FrozenScorer, check_payload, frozen_counts
+from .scoring import FrozenScorer, check_payload, frozen_counts
 
 __all__ = [
     "MODEL_SCHEMA",
@@ -50,19 +51,6 @@ __all__ = [
 ]
 
 MODEL_SCHEMA = "repro.model/v1"
-
-# Manifold metadata recorded per score-fn: which space the frozen arrays
-# live in, and the (fixed) curvature where one applies.
-_MANIFOLDS = {
-    "dot": {"space": "euclidean"},
-    "dot_bias": {"space": "euclidean"},
-    "dot_aspect": {"space": "euclidean"},
-    "neg_sq_euclid": {"space": "euclidean"},
-    "neg_sq_lorentz": {"space": "lorentz", "curvature": -1.0},
-    "two_channel_lorentz": {"space": "lorentz", "curvature": -1.0},
-    "two_channel_euclid": {"space": "euclidean"},
-    "dense": {"space": "none"},
-}
 
 _META_KEYS = (
     "schema",
@@ -145,8 +133,8 @@ def validate_model_artifact(
         if key not in meta:
             problems.append(f"missing metadata key {key!r}")
     score_fn = meta.get("score_fn")
-    if score_fn is not None and score_fn not in SCORE_FNS:
-        problems.append(f"unknown score_fn {score_fn!r}; known: {sorted(SCORE_FNS)}")
+    if score_fn is not None and score_fn not in FAMILIES:
+        problems.append(f"unknown score_fn {score_fn!r}; known: {sorted(FAMILIES)}")
     dataset = meta.get("dataset")
     if not isinstance(dataset, dict):
         problems.append("dataset must be an object")
@@ -162,7 +150,7 @@ def validate_model_artifact(
     if not isinstance(shapes, dict):
         problems.append("arrays must be an object of name -> shape")
         shapes = {}
-    if arrays is not None and score_fn in SCORE_FNS:
+    if arrays is not None and FAMILIES.get(score_fn) is not None:
         problems.extend(check_payload(score_fn, arrays))
         if sorted(arrays) != sorted(shapes):
             problems.append(
@@ -198,37 +186,37 @@ def validate_model_artifact(
     return problems
 
 
-def export_payload(
-    out_path,
-    *,
+def _freeze(
     score_fn: str,
     arrays: dict[str, np.ndarray],
     train,
+    *,
     model_name: str,
-    config: dict | None = None,
-    source: str = "live",
-) -> Path:
-    """Write a frozen payload plus dataset context as one artifact file.
+    config: dict,
+    source: str,
+) -> ModelArtifact:
+    """Package a frozen payload plus its training context as an artifact.
 
-    ``train`` is the :class:`~repro.data.InteractionDataset` the model was
-    trained on; its interaction CSR becomes the exclude-seen mask and its
-    tag vocabulary travels along for interpretability endpoints.
+    The single builder of ``repro.model/v1`` metadata: ``train`` is the
+    :class:`~repro.data.InteractionDataset` the model was trained on; its
+    interaction CSR becomes the exclude-seen mask and its tag vocabulary
+    travels along for interpretability endpoints.  Validates the payload
+    and the finished document.
     """
     problems = check_payload(score_fn, arrays)
     if problems:
-        raise SchemaMismatchError("refusing to export invalid payload: " + "; ".join(problems))
+        raise SchemaMismatchError("refusing to freeze invalid payload: " + "; ".join(problems))
     # ascontiguousarray promotes 0-d scalars to 1-d; keep those as-is.
     arrays = {
         name: np.ascontiguousarray(arr) if np.ndim(arr) else np.asarray(arr)
         for name, arr in arrays.items()
     }
-    n_users, n_items = frozen_counts(score_fn, arrays)
     seen = train.interaction_matrix()
     meta = {
         "schema": MODEL_SCHEMA,
         "model": model_name,
         "score_fn": score_fn,
-        "manifold": dict(_MANIFOLDS[score_fn]),
+        "manifold": dict(FAMILIES[score_fn].space),
         "dataset": {
             "name": train.name,
             "n_users": int(train.n_users),
@@ -240,53 +228,45 @@ def export_payload(
             "item_id_map": "identity",
         },
         "arrays": {name: list(arr.shape) for name, arr in arrays.items()},
-        "config": dict(config or {}),
+        "config": config,
         "source": source,
         "environment": _environment(),
         "created_unix": time.time(),
     }
-    problems = validate_model_artifact(
-        meta, arrays, np.asarray(seen.indptr), np.asarray(seen.indices)
-    )
+    indptr = np.asarray(seen.indptr, dtype=np.int64)
+    indices = np.asarray(seen.indices, dtype=np.int64)
+    problems = validate_model_artifact(meta, arrays, indptr, indices)
     if problems:
-        raise SchemaMismatchError("refusing to export invalid artifact: " + "; ".join(problems))
-    if train.n_users != n_users or train.n_items != n_items:
-        raise SchemaMismatchError(
-            f"frozen arrays imply ({n_users}, {n_items}) users/items but the "
-            f"dataset has ({train.n_users}, {train.n_items})"
-        )
-    payload: dict[str, np.ndarray] = {f"arrays/{k}": v for k, v in arrays.items()}
-    payload["seen/indptr"] = np.asarray(seen.indptr, dtype=np.int64)
-    payload["seen/indices"] = np.asarray(seen.indices, dtype=np.int64)
-    payload["ids/tag_names"] = np.asarray(train.tag_names, dtype=np.str_)
-    payload["__meta__"] = np.asarray(json.dumps(meta))
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(out_path, **payload)
-    return out_path
+        raise SchemaMismatchError("refusing to freeze invalid artifact: " + "; ".join(problems))
+    return ModelArtifact(meta, arrays, indptr, indices, tag_names=list(train.tag_names))
+
+
+def export_payload(
+    out_path,
+    *,
+    score_fn: str,
+    arrays: dict[str, np.ndarray],
+    train,
+    model_name: str,
+    config: dict | None = None,
+    source: str = "live",
+) -> Path:
+    """Write a frozen payload plus dataset context as one artifact file."""
+    artifact = _freeze(
+        score_fn, arrays, train, model_name=model_name, config=dict(config or {}), source=source
+    )
+    return save_artifact(artifact, out_path)
 
 
 def export_model(model, out_path, *, source: str = "live") -> Path:
-    """Freeze one live model into a ``repro.model/v1`` artifact.
+    """Freeze one live model into a ``repro.model/v1`` artifact file.
 
     Calls the model's :meth:`~repro.models.Recommender.frozen_scores`
     contract — final user/item/tag arrays with all aggregation applied —
     and packages the payload with the training dataset's seen-CSR and id
     context.
     """
-    payload = model.frozen_scores()
-    from dataclasses import asdict, is_dataclass
-
-    config = model.config
-    return export_payload(
-        out_path,
-        score_fn=payload["score_fn"],
-        arrays=payload["arrays"],
-        train=model.train_data,
-        model_name=model.name,
-        config=asdict(config) if is_dataclass(config) else dict(config or {}),
-        source=source,
-    )
+    return save_artifact(artifact_from_model(model, source=source), out_path)
 
 
 def save_artifact(artifact: ModelArtifact, out_path) -> Path:
@@ -321,45 +301,16 @@ def artifact_from_model(model, *, source: str = "live") -> ModelArtifact:
     (:mod:`repro.stream`) which rebuilds artifacts many times per replay
     window.  The result passes the same validation as a loaded file.
     """
-    from dataclasses import asdict, is_dataclass
-
     payload = model.frozen_scores()
-    score_fn, arrays = payload["score_fn"], payload["arrays"]
-    problems = check_payload(score_fn, arrays)
-    if problems:
-        raise SchemaMismatchError("refusing to freeze invalid payload: " + "; ".join(problems))
-    arrays = {
-        name: np.ascontiguousarray(arr) if np.ndim(arr) else np.asarray(arr)
-        for name, arr in arrays.items()
-    }
-    train = model.train_data
     config = model.config
-    seen = train.interaction_matrix()
-    meta = {
-        "schema": MODEL_SCHEMA,
-        "model": model.name,
-        "score_fn": score_fn,
-        "manifold": dict(_MANIFOLDS[score_fn]),
-        "dataset": {
-            "name": train.name,
-            "n_users": int(train.n_users),
-            "n_items": int(train.n_items),
-            "n_tags": int(train.n_tags),
-            "user_id_map": "identity",
-            "item_id_map": "identity",
-        },
-        "arrays": {name: list(arr.shape) for name, arr in arrays.items()},
-        "config": asdict(config) if is_dataclass(config) else dict(config or {}),
-        "source": source,
-        "environment": _environment(),
-        "created_unix": time.time(),
-    }
-    indptr = np.asarray(seen.indptr, dtype=np.int64)
-    indices = np.asarray(seen.indices, dtype=np.int64)
-    problems = validate_model_artifact(meta, arrays, indptr, indices)
-    if problems:
-        raise SchemaMismatchError("refusing to freeze invalid artifact: " + "; ".join(problems))
-    return ModelArtifact(meta, arrays, indptr, indices, tag_names=list(train.tag_names))
+    return _freeze(
+        payload["score_fn"],
+        payload["arrays"],
+        model.train_data,
+        model_name=model.name,
+        config=asdict(config) if is_dataclass(config) else dict(config or {}),
+        source=source,
+    )
 
 
 def _resolve_checkpoint(source: Path) -> Path:
@@ -449,9 +400,9 @@ def load_artifact(path) -> ModelArtifact:
             f"{path} declares schema {meta.get('schema')!r}; this build serves {MODEL_SCHEMA!r}"
         )
     score_fn = meta.get("score_fn")
-    if score_fn not in SCORE_FNS:
+    if score_fn not in FAMILIES:
         raise UnknownScoreFnError(
-            f"{path} requires score_fn {score_fn!r}; this build knows {sorted(SCORE_FNS)}"
+            f"{path} requires score_fn {score_fn!r}; this build knows {sorted(FAMILIES)}"
         )
     seen_indptr = groups["seen"].get("indptr")
     seen_indices = groups["seen"].get("indices")

@@ -1,149 +1,39 @@
-"""Frozen score functions: the serving-side half of the export contract.
+"""Frozen scoring: the serving-side view of an exported payload.
 
 Training-side, every :class:`repro.models.Recommender` exposes
-``frozen_scores() -> {"score_fn": <id>, "arrays": {...}}`` (see
-``models/base.py``).  This module holds the other half: for each score-fn
-id, a pure-numpy function that reproduces the model's ``score_users``
-from the frozen arrays alone — same expressions in the same order, so the
-served scores match the live model's to the last bit, without the
-autodiff graph, the dataset, or the training stack.
+``frozen_scores() -> {"score_fn": <id>, "arrays": {...}}``.  What each id
+computes, which arrays it needs and how they must be shaped is defined
+once, by the :class:`~repro.families.ScoreFamily` registered under the id
+in :mod:`repro.families` (the score-family table lives there).  The live
+model scores through that same family, so served scores match it bit for
+bit without the autodiff graph, the dataset, or the training stack.
 
-The registry is deliberately small and closed: an artifact naming an id
-that is not registered here came from a newer build and must be rejected
+The registry is closed: an artifact naming an id this build does not
+register came from a newer build and must be rejected
 (:class:`~repro.serve.errors.UnknownScoreFnError`), never guessed at.
-
-| id                    | arrays                                             | models                     |
-|-----------------------|----------------------------------------------------|----------------------------|
-| ``dot``               | user, item                                         | NMF, LightGCN, NGCF, AGCN  |
-| ``dot_bias``          | user, item, item_bias                              | BPRMF                      |
-| ``dot_aspect``        | user, item, user_aspect, item_aspect, aspect_weight| AMF                        |
-| ``neg_sq_euclid``     | user, item                                         | CML, CMLF, SML             |
-| ``neg_sq_lorentz``    | user, item                                         | HGCF, HyperML              |
-| ``two_channel_lorentz``| user_ir, item_ir, user_tg, item_tg, alpha         | TaxoRec (hyperbolic)       |
-| ``two_channel_euclid``| user_ir, item_ir, user_tg, item_tg, alpha          | TaxoRec ablation (CML+Agg) |
-| ``dense``             | scores                                             | fallback (NeuMF, LRML, …)  |
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from ..backend import get_backend
+from ..families import FAMILIES
 from .errors import SchemaMismatchError, UnknownScoreFnError
 
 __all__ = [
     "SCORE_FNS",
-    "REQUIRED_ARRAYS",
     "FrozenScorer",
     "frozen_counts",
     "check_payload",
 ]
 
-ScoreFn = Callable[[dict, np.ndarray], np.ndarray]
-
-SCORE_FNS: dict[str, ScoreFn] = {}
-REQUIRED_ARRAYS: dict[str, tuple[str, ...]] = {}
+#: ``id -> score(arrays, users)``, a view of :data:`repro.families.FAMILIES`.
+SCORE_FNS = {name: family.score for name, family in FAMILIES.items()}
 
 
-def _register(name: str, required: tuple[str, ...]):
-    def deco(fn: ScoreFn) -> ScoreFn:
-        SCORE_FNS[name] = fn
-        REQUIRED_ARRAYS[name] = required
-        return fn
-
-    return deco
-
-
-# ----------------------------------------------------------------------
-# Inner-product family
-# ----------------------------------------------------------------------
-@_register("dot", ("user", "item"))
-def _dot(arrays: dict, users: np.ndarray) -> np.ndarray:
-    return get_backend().matmul(arrays["user"][users], arrays["item"].T)
-
-
-@_register("dot_bias", ("user", "item", "item_bias"))
-def _dot_bias(arrays: dict, users: np.ndarray) -> np.ndarray:
-    u = arrays["user"][users]
-    return get_backend().matmul(u, arrays["item"].T) + arrays["item_bias"][None, :]
-
-
-@_register("dot_aspect", ("user", "item", "user_aspect", "item_aspect", "aspect_weight"))
-def _dot_aspect(arrays: dict, users: np.ndarray) -> np.ndarray:
-    xp = get_backend()
-    base = xp.matmul(arrays["user"][users], arrays["item"].T)
-    aspect = xp.matmul(arrays["user_aspect"][users], arrays["item_aspect"].T)
-    return base + float(arrays["aspect_weight"]) * aspect
-
-
-# ----------------------------------------------------------------------
-# Metric-learning family (negated squared distances)
-# ----------------------------------------------------------------------
-def _sq_dist_euclid_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pairwise ||u - v||² expanded to matmuls (mirrors CML.score_users)."""
-    return get_backend().sq_dist_euclid_gram(u, v)
-
-
-def _sq_dist_lorentz(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pairwise squared geodesic distances between Lorentz row sets."""
-    return get_backend().sq_dist_lorentz(u, v)
-
-
-@_register("neg_sq_euclid", ("user", "item"))
-def _neg_sq_euclid(arrays: dict, users: np.ndarray) -> np.ndarray:
-    return -_sq_dist_euclid_gram(arrays["user"][users], arrays["item"])
-
-
-@_register("neg_sq_lorentz", ("user", "item"))
-def _neg_sq_lorentz(arrays: dict, users: np.ndarray) -> np.ndarray:
-    return -_sq_dist_lorentz(arrays["user"][users], arrays["item"])
-
-
-# ----------------------------------------------------------------------
-# TaxoRec's personalised two-channel score (paper Eq. 17)
-# ----------------------------------------------------------------------
-_TWO_CHANNEL = ("user_ir", "item_ir", "user_tg", "item_tg", "alpha")
-
-
-def _sq_dist_euclid_broadcast(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Broadcast twin used by TaxoRec's Euclidean ablation (same op order)."""
-    return get_backend().sq_dist_euclid_broadcast(u, v)
-
-
-@_register("two_channel_lorentz", _TWO_CHANNEL)
-def _two_channel_lorentz(arrays: dict, users: np.ndarray) -> np.ndarray:
-    alpha = arrays["alpha"][users][:, None]
-    d_ir = _sq_dist_lorentz(arrays["user_ir"][users], arrays["item_ir"])
-    d_tg = _sq_dist_lorentz(arrays["user_tg"][users], arrays["item_tg"])
-    return -(d_ir + alpha * d_tg)
-
-
-@_register("two_channel_euclid", _TWO_CHANNEL)
-def _two_channel_euclid(arrays: dict, users: np.ndarray) -> np.ndarray:
-    alpha = arrays["alpha"][users][:, None]
-    d_ir = _sq_dist_euclid_broadcast(arrays["user_ir"][users], arrays["item_ir"])
-    d_tg = _sq_dist_euclid_broadcast(arrays["user_tg"][users], arrays["item_tg"])
-    return -(d_ir + alpha * d_tg)
-
-
-# ----------------------------------------------------------------------
-# Dense fallback: the exported artifact *is* the score matrix
-# ----------------------------------------------------------------------
-@_register("dense", ("scores",))
-def _dense(arrays: dict, users: np.ndarray) -> np.ndarray:
-    return arrays["scores"][users]
-
-
-# ----------------------------------------------------------------------
 def frozen_counts(score_fn: str, arrays: dict) -> tuple[int, int]:
     """(n_users, n_items) implied by a frozen payload's array shapes."""
-    if score_fn == "dense":
-        return int(arrays["scores"].shape[0]), int(arrays["scores"].shape[1])
-    if score_fn in ("two_channel_lorentz", "two_channel_euclid"):
-        return int(arrays["user_ir"].shape[0]), int(arrays["item_ir"].shape[0])
-    return int(arrays["user"].shape[0]), int(arrays["item"].shape[0])
+    return FAMILIES[score_fn].counts(arrays)
 
 
 def check_payload(score_fn: str, arrays: dict) -> list[str]:
@@ -152,37 +42,9 @@ def check_payload(score_fn: str, arrays: dict) -> list[str]:
     Returns human-readable problem strings (empty when valid); shared by
     export-time validation and the artifact loader.
     """
-    if score_fn not in SCORE_FNS:
-        return [f"unknown score_fn {score_fn!r}; known: {sorted(SCORE_FNS)}"]
-    problems = []
-    for name in REQUIRED_ARRAYS[score_fn]:
-        if name not in arrays:
-            problems.append(f"score_fn {score_fn!r} requires array {name!r}")
-        elif not isinstance(arrays[name], np.ndarray):
-            problems.append(f"array {name!r} is not an ndarray")
-    if problems:
-        return problems
-    if score_fn == "dense" and arrays["scores"].ndim != 2:
-        problems.append("dense scores must be a 2-d (n_users, n_items) matrix")
-    if score_fn in ("dot", "dot_bias", "dot_aspect", "neg_sq_euclid", "neg_sq_lorentz"):
-        u, v = arrays["user"], arrays["item"]
-        if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
-            problems.append(
-                f"user {u.shape} and item {v.shape} embeddings must be 2-d with equal width"
-            )
-    if score_fn == "dot_bias" and "item_bias" in arrays:
-        if arrays["item_bias"].shape != (arrays["item"].shape[0],):
-            problems.append("item_bias must be 1-d with one entry per item")
-    if score_fn in ("two_channel_lorentz", "two_channel_euclid"):
-        n_users = arrays["user_ir"].shape[0]
-        n_items = arrays["item_ir"].shape[0]
-        if arrays["user_tg"].shape[0] != n_users:
-            problems.append("user_tg must have one row per user")
-        if arrays["item_tg"].shape[0] != n_items:
-            problems.append("item_tg must have one row per item")
-        if arrays["alpha"].shape != (n_users,):
-            problems.append("alpha must be 1-d with one entry per user")
-    return problems
+    if score_fn not in FAMILIES:
+        return [f"unknown score_fn {score_fn!r}; known: {sorted(FAMILIES)}"]
+    return FAMILIES[score_fn].check(arrays)
 
 
 class FrozenScorer:
@@ -194,30 +56,26 @@ class FrozenScorer:
     """
 
     def __init__(self, score_fn: str, arrays: dict):
-        if score_fn not in SCORE_FNS:
+        if score_fn not in FAMILIES:
             raise UnknownScoreFnError(
-                f"unknown score_fn {score_fn!r}; this build knows {sorted(SCORE_FNS)}"
+                f"unknown score_fn {score_fn!r}; this build knows {sorted(FAMILIES)}"
             )
         problems = check_payload(score_fn, arrays)
         if problems:
             raise SchemaMismatchError("invalid frozen payload: " + "; ".join(problems))
         self.score_fn = score_fn
+        self.family = FAMILIES[score_fn]
         self.arrays = arrays
-        self.n_users, self.n_items = frozen_counts(score_fn, arrays)
+        self.n_users, self.n_items = self.family.counts(arrays)
 
     def score_users(self, users) -> np.ndarray:
         """``(len(users), n_items)`` scores, larger = better recommendation.
 
-        A user's score row is **batch-size invariant**: scoring one user
-        alone returns the same bits as scoring them inside any batch.
-        BLAS dispatches a GEMV kernel for one-row batches whose reduction
-        order differs from GEMM in the last bits, so single-user calls
-        are padded to a two-row batch (duplicate row, first row kept) and
-        every scoring path — per-request, micro-batched, index build,
-        offline evaluator — runs the same GEMM kernel.  The micro-batch
-        hammer tests (``tests/test_serve_batching.py``) lock this.
+        A user's score row is **batch-size invariant**: a one-row call is
+        padded to a two-row GEMM batch by
+        :meth:`~repro.families.ScoreFamily.score`, so per-request,
+        micro-batched, index-build and offline scoring all run the same
+        BLAS kernel.  The micro-batch hammer tests
+        (``tests/test_serve_batching.py``) lock this.
         """
-        users = np.asarray(users, dtype=np.int64)
-        if len(users) == 1:
-            return SCORE_FNS[self.score_fn](self.arrays, np.repeat(users, 2))[:1]
-        return SCORE_FNS[self.score_fn](self.arrays, users)
+        return self.family.score(self.arrays, users)

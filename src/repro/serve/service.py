@@ -524,14 +524,16 @@ class RecommenderService:
                 "retrieval": None
                 if engine.retrieval is None
                 else engine.retrieval.provenance(),
-                # Fold-in provenance (repro.stream): which users/items were
-                # solved online and the artifact's stream generation.
+                # Fold-in provenance (repro.stream): the artifact's stream
+                # generation and how many users/items it solved online.
+                # Counts, not the id lists, so /stats stays bounded under
+                # streaming; the lists remain in the artifact's meta.
                 "stream": None
                 if engine.artifact.meta.get("stream") is None
                 else {
                     "stream_generation": engine.artifact.meta["stream"]["generation"],
-                    "folded_users": list(engine.artifact.meta["stream"]["folded_users"]),
-                    "folded_items": list(engine.artifact.meta["stream"]["folded_items"]),
+                    "n_folded_users": len(engine.artifact.meta["stream"]["folded_users"]),
+                    "n_folded_items": len(engine.artifact.meta["stream"]["folded_items"]),
                 },
                 "latency": {
                     "count": count,

@@ -36,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..families import FAMILIES
 from .errors import ArtifactError, SchemaMismatchError
-from .scoring import SCORE_FNS
 
 __all__ = [
     "export_shared",
@@ -119,11 +119,11 @@ def load_shared(bundle_dir, mmap: bool = True):
         else []
     )
     score_fn = meta.get("score_fn")
-    if score_fn not in SCORE_FNS:
+    if score_fn not in FAMILIES:
         from .errors import UnknownScoreFnError
 
         raise UnknownScoreFnError(
-            f"{bundle_dir} requires score_fn {score_fn!r}; this build knows {sorted(SCORE_FNS)}"
+            f"{bundle_dir} requires score_fn {score_fn!r}; this build knows {sorted(FAMILIES)}"
         )
     problems = validate_model_artifact(meta, arrays, seen_indptr, seen_indices)
     if problems:

@@ -36,18 +36,14 @@ from ..serve.artifact import ModelArtifact, validate_model_artifact
 from .events import StreamState
 from .foldin import (
     RIDGE,
-    FoldInUnsupported,
+    _require_foldable,
     fold_in_item,
     fold_in_user,
     fold_in_user_reference,
-    foldable_score_fns,
     origin_rows,
 )
 
 __all__ = ["fold_into_artifact", "fold_into_service"]
-
-_USER_SIDE = ("user", "user_aspect", "user_ir", "user_tg", "alpha")
-_ITEM_SIDE = ("item", "item_aspect", "item_bias", "item_ir", "item_tg")
 
 
 def _grow(arr: np.ndarray, rows: int) -> np.ndarray:
@@ -80,8 +76,7 @@ def fold_into_artifact(
     ``repro.model/v1`` validation.
     """
     score_fn = artifact.score_fn
-    if score_fn not in foldable_score_fns():
-        raise FoldInUnsupported(score_fn, "artifact carries no per-user embeddings")
+    family = _require_foldable(score_fn)
     solve_user = fold_in_user_reference if use_reference else fold_in_user
     n_users, n_items = artifact.n_users, artifact.n_items
     new_items = state.new_items()
@@ -90,9 +85,8 @@ def fold_into_artifact(
     out_n_users = int(max([n_users, *[u + 1 for u in new_users.tolist()]]))
 
     arrays = dict(artifact.arrays)
-    for name in _ITEM_SIDE:
-        if name in arrays:
-            arrays[name] = _grow(arrays[name], out_n_items - n_items)
+    for name in family.item_side:
+        arrays[name] = _grow(arrays[name], out_n_items - n_items)
 
     # -- items first: new rows solved from frozen *existing*-user rows --
     folded_items = []
@@ -106,9 +100,8 @@ def fold_into_artifact(
             _apply(arrays, item, origin_rows(score_fn, artifact.arrays, side="item"))
 
     # -- then users, against the extended item arrays -------------------
-    for name in _USER_SIDE:
-        if name in arrays:
-            arrays[name] = _grow(arrays[name], out_n_users - n_users)
+    for name in family.user_side:
+        arrays[name] = _grow(arrays[name], out_n_users - n_users)
     for user in range(n_users, out_n_users):
         _apply(arrays, user, origin_rows(score_fn, artifact.arrays, side="user"))
 
@@ -116,11 +109,8 @@ def fold_into_artifact(
     for user in state.pending_users().tolist():
         items = state.items_of(user)
         if user < n_users:
-            prior = {
-                name: (float(artifact.arrays[name][user]) if name == "alpha" else artifact.arrays[name][user])
-                for name in _USER_SIDE
-                if name in artifact.arrays
-            }
+            prior = {name: artifact.arrays[name][user] for name in family.user_side}
+            prior.update({name: float(artifact.arrays[name][user]) for name in family.user_vectors})
             weight = float(artifact.seen_indptr[user + 1] - artifact.seen_indptr[user])
         else:
             prior, weight = None, 0.0

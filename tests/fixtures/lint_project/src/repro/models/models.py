@@ -1,4 +1,4 @@
-"""Fixture models: one healthy, three violating a cross-module contract."""
+"""Fixture models: one healthy, two holding Parameters in containers."""
 
 from ..autodiff.parameter import Module, Parameter
 
@@ -7,26 +7,6 @@ class GoodModel(Module):
     def __init__(self, dim):
         self.w = Parameter([0.0] * dim)
 
-    def frozen_scores(self):
-        return {"score_fn": "dot", "arrays": {"user": self.w.data, "item": self.w.data}}
-
-
-class BadIdModel(Module):
-    """frozen_scores names a score fn the scoring registry never registers."""
-
-    def __init__(self):
-        self.w = Parameter([0.0])
-
-    def frozen_scores(self):
-        return {"score_fn": "cosine", "arrays": {}}
-
-
-class NoFrozenModel(Module):
-    """Registered for serving but defines no frozen_scores at all."""
-
-    def __init__(self):
-        self.w = Parameter([0.0])
-
 
 class ListParamModel(Module):
     """Holds Parameters in a list; this project's state_dict skips lists."""
@@ -34,15 +14,9 @@ class ListParamModel(Module):
     def __init__(self, n):
         self.layers = [Parameter([0.0]) for _ in range(n)]
 
-    def frozen_scores(self):
-        return {"score_fn": "dot", "arrays": {}}
-
 
 class FrozenListModel(Module):
     """Same hazard, explicitly acknowledged with a line suppression."""
 
     def __init__(self):
         self.pinned = (Parameter([0.0]),)  # repro-lint: disable=untracked-parameter
-
-    def frozen_scores(self):
-        return {"score_fn": "dot", "arrays": {}}

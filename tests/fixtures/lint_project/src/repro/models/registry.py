@@ -1,6 +1,6 @@
 """Model registry of the fixture project."""
 
-from .models import BadIdModel, GoodModel, ListParamModel, NoFrozenModel
+from .models import GoodModel, ListParamModel
 
 
 def _good() -> GoodModel:
@@ -9,7 +9,5 @@ def _good() -> GoodModel:
 
 MODEL_REGISTRY = {
     "good": _good,
-    "bad-id": BadIdModel,
-    "no-frozen": NoFrozenModel,
     "list-params": ListParamModel,
 }

@@ -44,7 +44,6 @@ RULE_NAMES = {
 }
 
 PROJECT_RULE_NAMES = {
-    "frozen-scores-contract",
     "reference-twin",
     "untracked-parameter",
 }

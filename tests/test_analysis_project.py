@@ -2,8 +2,8 @@
 
 ``tests/fixtures/lint_project`` is a deliberately broken snapshot of this
 repo's architecture: a PR 3-era ``Module.state_dict`` that does not walk
-list containers, a model registry with serving-contract violations, and a
-set of reference-twin pairings in every health state.  Each rule must fire
+list containers, a small model registry, and a set of reference-twin
+pairings in every health state.  Each rule must fire
 on the seeded breakage, stay silent on the healthy counterparts, and
 honour suppressions through the anchor file's comments.
 """
@@ -27,25 +27,6 @@ def findings():
 
 def _by_rule(findings, rule):
     return [v for v in findings if v.rule == rule]
-
-
-class TestFrozenScoresContract:
-    def test_unregistered_score_fn_id_is_flagged(self, findings):
-        hits = _by_rule(findings, "frozen-scores-contract")
-        messages = "\n".join(v.message for v in hits)
-        assert "BadIdModel" in messages and "'cosine'" in messages
-
-    def test_registered_model_without_frozen_scores_is_flagged(self, findings):
-        hits = _by_rule(findings, "frozen-scores-contract")
-        messages = "\n".join(v.message for v in hits)
-        assert "NoFrozenModel" in messages and "'no-frozen'" in messages
-
-    def test_healthy_model_and_factory_resolution_are_silent(self, findings):
-        # GoodModel is registered through a return-annotated factory and
-        # names a registered score fn: no finding may mention it.
-        hits = _by_rule(findings, "frozen-scores-contract")
-        assert len(hits) == 2
-        assert all("GoodModel" not in v.message for v in hits)
 
 
 class TestReferenceTwin:
@@ -85,7 +66,7 @@ class TestUntrackedParameter:
 
     def test_plain_parameter_attributes_are_silent(self, findings):
         messages = "\n".join(v.message for v in _by_rule(findings, "untracked-parameter"))
-        assert "GoodModel" not in messages and "BadIdModel" not in messages
+        assert "GoodModel" not in messages
 
     def test_real_repo_indexed_state_dict_exempts_lists(self):
         # This repo's Module.state_dict walks list/tuple members with
@@ -98,7 +79,7 @@ class TestUntrackedParameter:
 class TestProjectPassPlumbing:
     def test_no_project_flag_drops_project_findings(self):
         findings = analyze_paths([FIXTURE_PROJECT], project=False)
-        assert [v for v in findings if v.rule.startswith(("frozen", "reference", "untracked"))] == []
+        assert [v for v in findings if v.rule.startswith(("reference", "untracked"))] == []
 
     def test_select_runs_single_project_rule(self):
         findings = analyze_paths([FIXTURE_PROJECT], select=["untracked-parameter"])
@@ -107,13 +88,13 @@ class TestProjectPassPlumbing:
     def test_ignore_drops_single_project_rule(self):
         findings = analyze_paths([FIXTURE_PROJECT], ignore=["reference-twin"])
         assert "reference-twin" not in {v.rule for v in findings}
-        assert "frozen-scores-contract" in {v.rule for v in findings}
+        assert "untracked-parameter" in {v.rule for v in findings}
 
     def test_findings_are_error_severity(self, findings):
         assert findings and all(v.severity == "error" for v in findings)
 
     def test_rules_bail_without_contract_modules(self, tmp_path):
-        # A tree with no registry/scoring/Module in view must produce no
+        # A tree with no Module or differential suite in view must produce no
         # contract findings — the rules never guess.
         (tmp_path / "misc.py").write_text("def f(x):\n    return x\n")
         assert analyze_paths([tmp_path]) == []

@@ -234,7 +234,7 @@ def test_backend_package_is_exempt_from_backend_discipline():
 def test_backend_discipline_covers_scoring_and_autodiff_modules():
     source = "import numpy as np\n\ndef f(u, v):\n    return np.matmul(u, v.T)\n"
     for module in (
-        "src/repro/serve/scoring.py",
+        "src/repro/families.py",
         "src/repro/autodiff/ops.py",
         "src/repro/retrieval/reduction.py",
         "src/repro/retrieval/indexes.py",

@@ -135,4 +135,4 @@ def test_cli_sarif_report_on_project_fixture():
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     rule_ids = {r["ruleId"] for r in payload["runs"][0]["results"]}
-    assert rule_ids == {"frozen-scores-contract", "reference-twin", "untracked-parameter"}
+    assert rule_ids == {"reference-twin", "untracked-parameter"}

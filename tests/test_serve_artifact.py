@@ -157,6 +157,55 @@ class TestExportPayload:
         assert meta["created_unix"] > 0
 
 
+# One malformed array per case: paired arrays of unequal width, rows that
+# do not cover every user/item, and a scalar that is not 0-d.
+MALFORMED = [
+    ("dot", "item", lambda n_users, n_items: (n_items, 3)),
+    ("dot_bias", "item_bias", lambda n_users, n_items: (n_items, 1)),
+    ("dot_aspect", "item_aspect", lambda n_users, n_items: (n_items, 2)),
+    ("dot_aspect", "user_aspect", lambda n_users, n_items: (n_users - 1, 4)),
+    ("dot_aspect", "aspect_weight", lambda n_users, n_items: (1,)),
+    ("neg_sq_euclid", "user", lambda n_users, n_items: (n_users, 5)),
+    ("neg_sq_lorentz", "item", lambda n_users, n_items: (n_items, 3)),
+    ("two_channel_lorentz", "item_tg", lambda n_users, n_items: (n_items, 3)),
+    ("two_channel_euclid", "item_ir", lambda n_users, n_items: (n_items, 3)),
+    ("two_channel_euclid", "alpha", lambda n_users, n_items: (n_users, 1)),
+    ("dense", "scores", lambda n_users, n_items: (n_users, n_items, 1)),
+]
+
+
+class TestPayloadShapes:
+    """Malformed payloads fail typed at export and at load, never at score time."""
+
+    @pytest.mark.parametrize(
+        "score_fn,name,shape", MALFORMED, ids=[f"{fn}-{name}" for fn, name, _ in MALFORMED]
+    )
+    def test_malformed_array_is_a_schema_mismatch(
+        self, tiny_split, tmp_path, frozen_payload, score_fn, name, shape
+    ):
+        train = tiny_split.train
+        arrays = frozen_payload(score_fn, n_users=train.n_users, n_items=train.n_items, d=4)
+        good = export_payload(
+            tmp_path / "good.npz", score_fn=score_fn, arrays=arrays, train=train, model_name="M"
+        )
+        bad = dict(arrays)
+        bad[name] = np.random.default_rng(0).normal(size=shape(train.n_users, train.n_items))
+        with pytest.raises(SchemaMismatchError, match=name):
+            export_payload(
+                tmp_path / "bad.npz", score_fn=score_fn, arrays=bad, train=train, model_name="M"
+            )
+        # The same array smuggled into a file past the exporter fails at load.
+        with np.load(good, allow_pickle=False) as npz:
+            payload = {k: npz[k] for k in npz.files}
+        meta = json.loads(str(payload["__meta__"][()]))
+        meta["arrays"][name] = list(bad[name].shape)
+        payload[f"arrays/{name}"] = bad[name]
+        payload["__meta__"] = np.asarray(json.dumps(meta))
+        np.savez(tmp_path / "smuggled.npz", **payload)
+        with pytest.raises(SchemaMismatchError, match=name):
+            load_artifact(tmp_path / "smuggled.npz")
+
+
 class TestExportFromCheckpoint:
     def test_run_dir_uses_latest_checkpoint(self, tiny_run_dir, tmp_path):
         out = export_from_checkpoint(tiny_run_dir, tmp_path / "cml.npz")

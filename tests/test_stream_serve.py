@@ -51,9 +51,8 @@ def test_fold_into_service_swaps_and_reports_provenance(cml_artifact):
     assert service.artifact is folded
     assert service.artifact.n_users == cml_artifact.n_users + 1
     stream = service.stats()["stream"]
-    assert stream["stream_generation"] == 1
-    assert stream["folded_users"] == [new_user]
-    assert stream["folded_items"] == []
+    assert stream == {"stream_generation": 1, "n_folded_users": 1, "n_folded_items": 0}
+    assert folded.meta["stream"]["folded_users"] == [new_user]
 
     items, scores = service.recommend(new_user, k=5, exclude_seen=True)
     assert len(items) == 5
@@ -70,6 +69,27 @@ def test_second_fold_bumps_generation(cml_artifact):
         fold_into_service(service, state)
         assert service.stats()["stream"]["stream_generation"] == generation
     assert service.artifact.n_users == cml_artifact.n_users + 2
+
+
+def test_stats_size_stays_flat_while_folded_users_grow(cml_artifact):
+    """Streaming soak: ``stats()`` reports counts, so its size does not grow.
+
+    One cumulative stream state gains five new users per window, so the
+    artifact's own ``folded_users`` list grows every window; the JSON
+    ``/stats`` payload must not grow with it.
+    """
+    service = RecommenderService(cml_artifact)
+    state = StreamState.from_artifact(cml_artifact)
+    sizes = []
+    for window in range(12):
+        first = cml_artifact.n_users + 5 * window
+        state.ingest([(user, (user + 3) % cml_artifact.n_items) for user in range(first, first + 5)])
+        folded = fold_into_service(service, state)
+        sizes.append(len(json.dumps(service.stats())))
+    assert len(folded.meta["stream"]["folded_users"]) == 60
+    assert service.stats()["stream"]["n_folded_users"] == 60
+    # Digits of counters and timing floats may wobble by a few bytes.
+    assert max(sizes) - sizes[0] <= 32, sizes
 
 
 def test_serve_cli_rejects_foldin_with_workers(tmp_path, capsys, cml_artifact):
@@ -116,7 +136,7 @@ def test_serve_subprocess_folds_events_before_binding(tmp_path, tiny_split):
         assert len(body["items"]) == 5
         with urllib.request.urlopen(f"http://127.0.0.1:{port}/stats", timeout=10) as resp:
             stats = json.loads(resp.read())
-        assert stats["stream"]["folded_users"] == [new_user]
+        assert stats["stream"]["n_folded_users"] == 1
     finally:
         proc.stdout.close()
         proc.wait(timeout=30)
