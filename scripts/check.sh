@@ -9,9 +9,6 @@ export PYTHONPATH="${PWD}/src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests (not slow) =="
 python -m pytest -x -q -m "not slow"
 
-echo "== backend parity (tier-1 under the fused backend) =="
-REPRO_BACKEND=fused python -m pytest -x -q -m "not slow"
-
 echo "== tier-2 tests (slow: hypothesis + e2e) =="
 REPRO_HYPOTHESIS_PROFILE=ci python -m pytest -x -q -m slow
 
@@ -37,9 +34,6 @@ fi
 
 echo "== bench smoke =="
 python -m repro.bench --quick --out benchmarks/results/BENCH_smoke.json
-
-echo "== backend bench smoke (fused vs numpy, paired) =="
-python -m repro.bench --cases backends --quick --out benchmarks/results/BENCH_backends_smoke.json
 
 echo "== retrieval bench smoke (candidate indexes vs exact, recall-gated) =="
 python -m repro.bench --cases retrieval --quick --out benchmarks/results/BENCH_retrieval_smoke.json

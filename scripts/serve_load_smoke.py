@@ -25,12 +25,10 @@ Usage: PYTHONPATH=src python scripts/serve_load_smoke.py [out.json]
 
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 from pathlib import Path
 
-from repro.backend import ENV_VAR, activate_backend
 from repro.bench.harness import validate_result, write_result
 from repro.bench.load import sweep, synthetic_bundle
 
@@ -46,10 +44,6 @@ def fail(message: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    # Pin the compute backend and re-export REPRO_BACKEND so the forked
-    # pool workers resolve the same backend the parity baseline uses.
-    backend = activate_backend(os.environ.get(ENV_VAR, "numpy"))
-    print(f"== backend {backend.name}")
     out = Path(argv[1]) if len(argv) > 1 else Path("benchmarks/results/BENCH_serve_smoke.json")
     out.parent.mkdir(parents=True, exist_ok=True)
 

@@ -15,25 +15,18 @@ Usage: PYTHONPATH=src python scripts/train_smoke.py [workdir]
 
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.backend import ENV_VAR, activate_backend
 from repro.train import execute_run, validate_run_result
 
 RUN = dict(model="CML", dataset="ciao", scale=0.08, epochs=2, seed=0)
 
 
 def main(argv: list[str]) -> int:
-    # Pin the compute backend and re-export REPRO_BACKEND so both runs
-    # (and any subprocesses they start) resolve the same kernels — the
-    # bit-identical weight comparison below is only meaningful then.
-    backend = activate_backend(os.environ.get(ENV_VAR, "numpy"))
-    print(f"== backend {backend.name}")
     if len(argv) > 1:
         workdir = Path(argv[1])
         workdir.mkdir(parents=True, exist_ok=True)

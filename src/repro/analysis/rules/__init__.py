@@ -2,7 +2,6 @@
 
 from . import (  # noqa: F401
     autodiff_contracts,
-    backend,
     contracts,
     hygiene,
     manifold_flow,

@@ -29,13 +29,12 @@ _BOUNDARY_NP_FUNCS = frozenset({"sqrt", "log", "arccosh", "arctanh"})
 _BOUNDARY_TENSOR_METHODS = frozenset({"sqrt", "log"})
 
 # Epsilon literals at or below this magnitude are guard constants, not model
-# hyper-parameters, and belong in repro/backend/constants.py.
+# hyper-parameters, and belong in repro/constants.py.
 _EPSILON_THRESHOLD = 1e-5  # repro-lint: disable=magic-epsilon
 
-# The canonical home of guard epsilons is repro/backend/constants.py (the
-# bottom of the import stack); repro/manifolds/constants.py survives as a
-# re-export shim and stays exempt for any constants it may still define.
-_CONSTANTS_FILES = frozenset({("backend", "constants.py"), ("manifolds", "constants.py")})
+# The one home of guard epsilons: repro/constants.py (the bottom of the
+# import stack).
+_CONSTANTS_FILES = frozenset({("repro", "constants.py")})
 
 
 def _in_numerics_scope(path: PurePosixPath) -> bool:
@@ -175,7 +174,7 @@ class UnclampedBoundaryOp(Rule):
 
 @register
 class MagicEpsilon(Rule):
-    """Tiny guard literals belong in ``repro/backend/constants.py``.
+    """Tiny guard literals belong in ``repro/constants.py``.
 
     Flags float literals with ``0 < |value| <= 1e-5`` anywhere except the
     central constants module.  Default values in function signatures are
@@ -185,7 +184,7 @@ class MagicEpsilon(Rule):
 
     name = "magic-epsilon"
     description = (
-        "numeric guard literal (|x| <= 1e-5) outside repro/backend/constants.py; "
+        "numeric guard literal (|x| <= 1e-5) outside repro/constants.py; "
         "import the named constant instead"
     )
 
@@ -213,7 +212,7 @@ class MagicEpsilon(Rule):
             yield ctx.violation(
                 self,
                 node,
-                f"magic epsilon {value!r}; define it in repro/backend/constants.py "
+                f"magic epsilon {value!r}; define it in repro/constants.py "
                 "and import the named constant",
             )
 

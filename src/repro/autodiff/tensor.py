@@ -26,13 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# autodiff sits directly above repro.backend in the layering: every
-# transcendental and matmul kernel dispatches through the active backend
-# so a faster kernel set swaps in under the whole training stack at once.
-# Each op resolves the backend at *forward* time and closes over it, so a
-# graph built under one backend also backpropagates under it.
-from ..backend import get_backend
-from ..backend.constants import MIN_NORM as _MIN_NORM
+from ..constants import MIN_NORM as _MIN_NORM
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
@@ -292,8 +286,7 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        xp = get_backend()
-        data = xp.matmul(self.data, other.data)
+        data = np.matmul(self.data, other.data)
         a, b = self, other
 
         def vjp(g):
@@ -301,12 +294,12 @@ class Tensor:
                 return g * b.data, g * a.data
             if a.data.ndim == 1:
                 # (k,) @ (k, n) -> (n,)
-                return xp.matmul(g, b.data.T), xp.outer(a.data, g)
+                return np.matmul(g, b.data.T), np.outer(a.data, g)
             if b.data.ndim == 1:
                 # (m, k) @ (k,) -> (m,)
-                return xp.outer(g, b.data), xp.matmul(a.data.T, g)
-            ga = xp.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = xp.matmul(np.swapaxes(a.data, -1, -2), g)
+                return np.outer(g, b.data), np.matmul(a.data.T, g)
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
         return Tensor._from_op(data, (a, b), vjp)
@@ -459,57 +452,51 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         """Elementwise e**x."""
-        return self._unary(get_backend().exp, lambda x, y: y)
+        return self._unary(np.exp, lambda x, y: y)
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-        return self._unary(get_backend().log, lambda x, y: 1.0 / x)
+        return self._unary(np.log, lambda x, y: 1.0 / x)
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
-        return self._unary(get_backend().sqrt, lambda x, y: 0.5 / y)
+        return self._unary(np.sqrt, lambda x, y: 0.5 / y)
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        return self._unary(get_backend().tanh, lambda x, y: 1.0 - y * y)
+        return self._unary(np.tanh, lambda x, y: 1.0 - y * y)
 
     def sinh(self) -> "Tensor":
         """Elementwise hyperbolic sine."""
-        xp = get_backend()
-        return self._unary(xp.sinh, lambda x, y: xp.cosh(x))
+        return self._unary(np.sinh, lambda x, y: np.cosh(x))
 
     def cosh(self) -> "Tensor":
         """Elementwise hyperbolic cosine."""
-        xp = get_backend()
-        return self._unary(xp.cosh, lambda x, y: xp.sinh(x))
+        return self._unary(np.cosh, lambda x, y: np.sinh(x))
 
     def arcosh(self) -> "Tensor":
         """Inverse hyperbolic cosine; input is clipped to [1, inf) for safety."""
-        xp = get_backend()
         src = np.maximum(self.data, 1.0)
-        data = xp.arccosh(src)
+        data = np.arccosh(src)
 
         def vjp(g):
             # d/dx arccosh(x) = 1/sqrt(x^2 - 1); guard the boundary x = 1.
-            denom = xp.sqrt(np.maximum(src * src - 1.0, _MIN_NORM))
+            denom = np.sqrt(np.maximum(src * src - 1.0, _MIN_NORM))
             return (g / denom,)
 
         return Tensor._from_op(data, (self,), vjp)
 
     def arsinh(self) -> "Tensor":
         """Inverse hyperbolic sine (domain is all of R; no clipping needed)."""
-        xp = get_backend()
-
         def vjp_factor(x, y):
-            return 1.0 / xp.sqrt(x * x + 1.0)
+            return 1.0 / np.sqrt(x * x + 1.0)
 
-        return self._unary(xp.arcsinh, vjp_factor)
+        return self._unary(np.arcsinh, vjp_factor)
 
     def artanh(self) -> "Tensor":
         """Inverse hyperbolic tangent; input clipped inside (-1, 1)."""
-        xp = get_backend()
         src = np.clip(self.data, -1.0 + _MIN_NORM, 1.0 - _MIN_NORM)
-        data = xp.arctanh(src)
+        data = np.arctanh(src)
 
         def vjp(g):
             return (g / (1.0 - src * src),)
@@ -518,12 +505,11 @@ class Tensor:
 
     def log1p(self) -> "Tensor":
         """log(1 + x), accurate for small x."""
-        return self._unary(get_backend().log1p, lambda x, y: 1.0 / (1.0 + x))
+        return self._unary(np.log1p, lambda x, y: 1.0 / (1.0 + x))
 
     def expm1(self) -> "Tensor":
         """exp(x) - 1, accurate for small x."""
-        xp = get_backend()
-        return self._unary(xp.expm1, lambda x, y: xp.exp(x))
+        return self._unary(np.expm1, lambda x, y: np.exp(x))
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value."""
@@ -564,13 +550,11 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         """Numerically stable logistic function."""
-        xp = get_backend()
-
         def stable_sigmoid(x):
             out = np.empty_like(x)
             pos = x >= 0
-            out[pos] = 1.0 / (1.0 + xp.exp(-x[pos]))
-            ex = xp.exp(x[~pos])
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
             out[~pos] = ex / (1.0 + ex)
             return out
 

@@ -2,22 +2,17 @@
 
 Usage:
     python -m repro.bench                    # hot paths -> BENCH_hotpaths.json
-    python -m repro.bench --cases backends   # fused-vs-numpy -> BENCH_backends.json
     python -m repro.bench --quick            # CI smoke workloads -> BENCH_smoke.json
     python -m repro.bench --only kmeans      # substring filter
-    python -m repro.bench --backend fused    # activate a compute backend first
     python -m repro.bench --list             # show cases and exit
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
-from ..backend import UnknownBackendError, activate_backend, available_backends
 from ..utils import render_table
-from .backends import backend_cases
 from .harness import run_cases, write_result
 from .hotpaths import hotpath_cases
 from .retrieval import retrieval_cases
@@ -26,10 +21,9 @@ from .stream import stream_cases
 __all__ = ["main", "build_parser", "CASE_SETS"]
 
 # Registered case sets; the set name is the default suite name (and file
-# stem), so --cases backends writes BENCH_backends.json.
+# stem), so --cases stream writes BENCH_stream.json.
 CASE_SETS = {
     "hotpaths": hotpath_cases,
-    "backends": backend_cases,
     "retrieval": retrieval_cases,
     "stream": stream_cases,
 }
@@ -62,10 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--warmup", type=int, default=1, help="warmup calls per path")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timed calls per path (default 5, 2 in --quick)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help=f"compute backend {available_backends()} "
-                        "(default: $REPRO_BACKEND or 'numpy'); the backends "
-                        "case set switches backends per path itself")
     parser.add_argument("--list", action="store_true", help="list cases and exit")
     return parser
 
@@ -73,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point: run the suite, print a table, write BENCH_<suite>.json."""
     args = build_parser().parse_args(argv)
-    if args.backend is not None:
-        try:
-            activate_backend(args.backend)
-        except UnknownBackendError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     cases = CASE_SETS[args.cases]()
     if args.list:
         for case in cases:

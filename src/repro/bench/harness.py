@@ -14,20 +14,24 @@ can be diffed across commits.
 from __future__ import annotations
 
 import json
+import os
 import platform
+import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from ..backend import get_backend
 from ..retrieval import get_retrieval
 
 __all__ = [
     "BenchCase",
     "SCHEMA",
+    "environment",
+    "git_sha",
     "time_callable",
     "run_cases",
     "validate_result",
@@ -103,13 +107,32 @@ def time_callable(
     return timing.as_dict()
 
 
-def _environment() -> dict:
+def git_sha(where: Path | None = None) -> str | None:
+    """Commit checked out at ``where`` (default: this package); None outside a checkout."""
+    where = Path(__file__).resolve().parent if where is None else where
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=where, capture_output=True, text=True,
+            timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
+
+
+def environment() -> dict:
+    """The ``environment`` block of every ``repro.bench/v1`` document.
+
+    ``cpu_count`` and ``git_sha`` let two BENCH files from different
+    commits or boxes be compared as one trajectory.
+    """
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "backend": get_backend().name,
+        "cpu_count": os.cpu_count(),
+        "git_sha": git_sha(),
         "retrieval": get_retrieval(),
     }
 
@@ -163,7 +186,7 @@ def run_cases(
         "suite": suite,
         "quick": bool(quick),
         "created_unix": time.time(),
-        "environment": _environment(),
+        "environment": environment(),
         "config": {"warmup": int(warmup), "repeats": int(repeats)},
         "benchmarks": records,
     }

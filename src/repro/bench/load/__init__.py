@@ -40,12 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ...backend import get_backend
 from ...serve.errors import ServeError
 from ...serve.http import create_server
 from ...serve.service import RecommenderService
 from ...utils import get_logger
-from ..harness import SCHEMA
+from ..harness import SCHEMA, environment
 
 __all__ = [
     "run_load_cell",
@@ -311,25 +310,14 @@ def sweep(
                     "reference": None,
                     "speedup": None,
                 })
-    import os
-    import platform
-    import sys as _sys
-
     return {
         "schema": SCHEMA,
         "suite": "serve",
         "quick": bool(quick),
         "created_unix": time.time(),
-        "environment": {
-            "python": _sys.version.split()[0],
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            # QPS curves only make sense relative to the core budget:
-            # on one core, worker parallelism can't add compute.
-            "cpu_count": os.cpu_count(),
-            "backend": get_backend().name,
-        },
+        # QPS curves only make sense relative to the block's cpu_count: on
+        # one core, worker parallelism can't add compute.
+        "environment": environment(),
         "config": {
             "requests_per_cell": int(requests),
             "workers": [int(w) for w in workers_list],

@@ -19,7 +19,7 @@ Committed results live in ``BENCH_stream.json`` at the repo root;
 
 from __future__ import annotations
 
-from ..backend.constants import DIV_EPS
+from ..constants import DIV_EPS
 from ..stream.staleness import (
     StalenessConfig,
     build_context,

@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from .backend import UnknownBackendError, activate_backend, available_backends
 from .data import PRESET_NAMES, compute_stats
 from .models import MODEL_REGISTRY
 from .train import execute_run, run_experiment
@@ -52,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--save", metavar="PATH", default=None, help="save trained weights (.npz)")
     parser.add_argument("--show-taxonomy", action="store_true", help="render the constructed taxonomy (TaxoRec)")
     parser.add_argument("--list-models", action="store_true", help="list registered models and exit")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help=f"compute backend {available_backends()} "
-                        "(default: $REPRO_BACKEND or 'numpy')")
     return parser
 
 
@@ -72,9 +68,6 @@ def build_experiment_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", metavar="DIR", default="runs/experiment")
     parser.add_argument("--checkpoint-every", type=int, default=0, metavar="N")
     parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes (1 = sequential)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help=f"compute backend {available_backends()} "
-                        "(default: $REPRO_BACKEND or 'numpy')")
     return parser
 
 
@@ -87,24 +80,9 @@ def _print_run_start(dataset, split, model, config) -> None:
           f"{config.epochs} epochs)…")
 
 
-def _activate_backend_arg(name: str | None) -> str | None:
-    """Apply a ``--backend`` flag; returns an error message on failure."""
-    if name is None:
-        return None
-    try:
-        activate_backend(name)
-    except UnknownBackendError as exc:
-        return str(exc)
-    return None
-
-
 def experiment_main(argv: list[str]) -> int:
     """Entry point for the ``experiment`` subcommand."""
     args = build_experiment_parser().parse_args(argv)
-    error = _activate_backend_arg(args.backend)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
     try:
@@ -149,10 +127,6 @@ def main(argv: list[str] | None = None) -> int:
 
         return stream_main(argv[1:])
     args = build_parser().parse_args(argv)
-    error = _activate_backend_arg(args.backend)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     if args.list_models:
         for name in sorted(MODEL_REGISTRY):
             print(name)

@@ -21,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from ..backend import get_backend
-
 __all__ = [
     "recall_at_k",
     "ndcg_at_k",
@@ -46,12 +44,30 @@ def rank_topk(scores: np.ndarray, k: int) -> np.ndarray:
     ``argpartition``-based selection: the k-th score is found first, rows
     are filled with all strictly-greater entries plus the lowest-id entries
     tied with the threshold, and only the selected ``k`` are sorted.
-
-    The implementation lives in the compute backend
-    (:meth:`repro.backend.base.KernelBackend.rank_topk`); selection is
-    discrete, so every backend must return *identical* indices.
     """
-    return get_backend().rank_topk(scores, k)
+    scores = np.asarray(scores)
+    n_rows, n = scores.shape
+    k = min(k, n)
+    if n_rows == 0 or k == 0:
+        return np.zeros((n_rows, k), dtype=np.int64)
+    if 4 * k >= n:
+        # Stable argsort of -scores: equal scores keep ascending-id order.
+        return np.argsort(-scores, axis=1, kind="stable")[:, :k].astype(np.int64)
+    # Threshold = k-th largest score per row.
+    kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1 : k]
+    greater = scores > kth
+    tied = scores == kth
+    # Among threshold ties keep the lowest item ids (cumsum runs id-ascending).
+    need = k - greater.sum(axis=1, keepdims=True)
+    tie_rank = np.cumsum(tied, axis=1)
+    select = greater | (tied & (tie_rank <= need))
+    # np.nonzero is row-major, so each row's columns come out id-ascending;
+    # the stable sort below then only reorders by score, preserving the
+    # ascending-id tiebreak.
+    cols = np.nonzero(select)[1].reshape(n_rows, k).astype(np.int64)
+    row = np.arange(n_rows)[:, None]
+    order = np.argsort(-scores[row, cols], axis=1, kind="stable")
+    return cols[row, order]
 
 
 def rank_topk_reference(scores: np.ndarray, k: int) -> np.ndarray:

@@ -46,9 +46,9 @@ tangent space at the origin on the hyperboloid; inner-product families
 solve the ridge system ``(VᵀV + λI) u = Vᵀt`` against target score 1.
 An existing row is a prior weighted by its baseline interaction count.
 
-Every kernel routes through :func:`repro.backend.get_backend`.  This
-module imports only numpy and :mod:`repro.backend`, so the models can
-use it without pulling in serving, retrieval or streaming.
+The distance chains and tangent maps come from :mod:`repro.kernels`.
+This module imports only numpy and :mod:`repro.kernels`, so the models
+can use it without pulling in serving, retrieval or streaming.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .backend import get_backend
+from . import kernels
 
 __all__ = [
     "FAMILIES",
@@ -142,12 +142,11 @@ class Reduction:
         the same GEMM bits as batched exact scoring.
         """
         hi = self.n_items if hi is None else hi
-        xp = get_backend()
         block = self.item_vectors[lo:hi]
         if queries.shape[0] == 1:
-            out = xp.matmul(np.repeat(queries, 2, axis=0), block.T)[:1]
+            out = np.matmul(np.repeat(queries, 2, axis=0), block.T)[:1]
         else:
-            out = xp.matmul(queries, block.T)
+            out = np.matmul(queries, block.T)
         return out + self.item_bias[lo:hi][None, :]
 
     def finish(self, reduced: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -182,8 +181,7 @@ def _finish_neg_sq_lorentz(reduced: np.ndarray) -> np.ndarray:
     # the clamp is inactive; on the hyperboloid -⟨u,v⟩_L = cosh(d) >= 1
     # with equality only at u == v, so the flat clamped region is a
     # single point per query.
-    xp = get_backend()
-    d = xp.arccosh(np.maximum(-reduced, 1.0))
+    d = np.arccosh(np.maximum(-reduced, 1.0))
     return -(d * d)
 
 
@@ -193,23 +191,21 @@ def _prior_row(prior: dict | None, name: str) -> np.ndarray | None:
 
 def _tangent_mean(rows: np.ndarray, lorentz: bool, prior: np.ndarray | None, prior_weight: float) -> np.ndarray:
     """Weighted tangent-space mean, projected back with the exp-map."""
-    xp = get_backend()
-    logs = xp.lorentz_logmap0(rows) if lorentz else rows
+    logs = kernels.lorentz_logmap0(rows) if lorentz else rows
     total = logs.sum(axis=0)
     weight = float(len(rows))
     if prior is not None and prior_weight > 0.0:
-        z0 = xp.lorentz_logmap0(prior[None, :])[0] if lorentz else prior
+        z0 = kernels.lorentz_logmap0(prior[None, :])[0] if lorentz else prior
         total = total + prior_weight * z0
         weight += prior_weight
     z = total / weight
-    return xp.lorentz_expmap0(z[None, :])[0] if lorentz else z
+    return kernels.lorentz_expmap0(z[None, :])[0] if lorentz else z
 
 
 def _ridge_solve(design: np.ndarray, targets: np.ndarray, prior: np.ndarray | None, prior_weight: float, ridge: float) -> np.ndarray:
     """``(XᵀX + (λ + n₀)I) q = Xᵀt + n₀·q₀`` — prior-centred ridge LS."""
-    xp = get_backend()
-    gram = xp.matmul(design.T, design)
-    rhs = xp.matmul(design.T, targets)
+    gram = np.matmul(design.T, design)
+    rhs = np.matmul(design.T, targets)
     reg = ridge + (prior_weight if prior is not None else 0.0)
     gram = gram + reg * np.eye(design.shape[1])
     if prior is not None and prior_weight > 0.0:
@@ -377,13 +373,12 @@ class _InnerProduct(ScoreFamily):
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
     def _score(self, arrays, users):
-        xp = get_backend()
         (user, item), *aspect = self.pairs
-        out = xp.matmul(arrays[user][users], arrays[item].T)
+        out = np.matmul(arrays[user][users], arrays[item].T)
         for name in self.item_vectors:
             out = out + arrays[name][None, :]
         for (user, item), scalar in zip(aspect, self.scalars):
-            out = out + float(arrays[scalar]) * xp.matmul(arrays[user][users], arrays[item].T)
+            out = out + float(arrays[scalar]) * np.matmul(arrays[user][users], arrays[item].T)
         return out
 
     def reduce(self, arrays):
@@ -469,7 +464,7 @@ class _NegSqEuclid(_Distance):
     id = "neg_sq_euclid"
 
     def _score(self, arrays, users):
-        return -get_backend().sq_dist_euclid_gram(arrays["user"][users], arrays["item"])
+        return -kernels.sq_dist_euclid_gram(arrays["user"][users], arrays["item"])
 
     def reduce(self, arrays):
         item = _as_f64(arrays["item"])
@@ -487,7 +482,7 @@ class _NegSqLorentz(_Distance):
     space = _LORENTZ
 
     def _score(self, arrays, users):
-        return -get_backend().sq_dist_lorentz(arrays["user"][users], arrays["item"])
+        return -kernels.sq_dist_lorentz(arrays["user"][users], arrays["item"])
 
     def reduce(self, arrays):
         item = _as_f64(arrays["item"])
@@ -546,14 +541,14 @@ class _TwoChannelLorentz(_TwoChannel):
     )
 
     def _sq_dist(self, u, v):
-        return get_backend().sq_dist_lorentz(u, v)
+        return kernels.sq_dist_lorentz(u, v)
 
 
 class _TwoChannelEuclid(_TwoChannel):
     id = "two_channel_euclid"
 
     def _sq_dist(self, u, v):
-        return get_backend().sq_dist_euclid_broadcast(u, v)
+        return kernels.sq_dist_euclid_broadcast(u, v)
 
     def reduce(self, arrays):
         item_ir = _as_f64(arrays["item_ir"])

@@ -1,6 +1,5 @@
 """Hyperbolic geometry substrate: Poincaré, Lorentz, Klein models and maps."""
 
-from . import constants
 from .base import Manifold, ManifoldCheckError
 from .euclidean import Euclidean
 from .klein import (
@@ -25,7 +24,6 @@ from .maps import (
 from .poincare import PoincareBall
 
 __all__ = [
-    "constants",
     "Manifold",
     "ManifoldCheckError",
     "Euclidean",

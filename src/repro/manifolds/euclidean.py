@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor
+from ..constants import MIN_NORM as _MIN_NORM
 from .base import Manifold
-from .constants import MIN_NORM as _MIN_NORM
 
 __all__ = ["Euclidean"]
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import kernels
 from ..autodiff import Tensor, concat
-from ..backend import get_backend
+from ..constants import MAX_TANH_ARG as _MAX_TANH_ARG
+from ..constants import MIN_NORM as _MIN_NORM
 from .base import Manifold
-from .constants import MAX_TANH_ARG as _MAX_TANH_ARG
-from .constants import MIN_NORM as _MIN_NORM
 
 __all__ = ["Lorentz"]
 
@@ -34,11 +34,11 @@ class Lorentz(Manifold):
     @staticmethod
     def inner_np(x: np.ndarray, y: np.ndarray, keepdims: bool = False) -> np.ndarray:
         """Lorentzian scalar product <x, y>_L along the last axis."""
-        return get_backend().lorentz_inner(x, y, keepdims=keepdims)
+        return kernels.lorentz_inner(x, y, keepdims=keepdims)
 
     def proj(self, x: np.ndarray) -> np.ndarray:
         """Re-normalise the time coordinate: x_0 = sqrt(1 + ||x_{1:}||^2)."""
-        return get_backend().lorentz_proj(x)
+        return kernels.lorentz_proj(x)
 
     def proj_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Project ``v`` onto the tangent space at ``x``: v + <x, v>_L x."""
@@ -83,7 +83,7 @@ class Lorentz(Manifold):
 
     def expmap_np(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """exp_x(v) = cosh(||v||_L) x + sinh(||v||_L) v / ||v||_L (Eq. 23)."""
-        return get_backend().lorentz_expmap(x, v)
+        return kernels.lorentz_expmap(x, v)
 
     # ------------------------------------------------------------------
     # Geometry (differentiable)
@@ -109,7 +109,7 @@ class Lorentz(Manifold):
 
     def dist_np(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Geodesic distance on raw arrays."""
-        return get_backend().lorentz_dist(x, y)
+        return kernels.lorentz_dist(x, y)
 
     # ------------------------------------------------------------------
     # Origin log/exp maps (Eqs. 12 and 15)
@@ -144,13 +144,13 @@ class Lorentz(Manifold):
 
     def logmap0_np(self, x: np.ndarray) -> np.ndarray:
         """NumPy twin of :meth:`logmap0` (same arsinh form, same guard)."""
-        return get_backend().lorentz_logmap0(x)
+        return kernels.lorentz_logmap0(x)
 
     def expmap0_np(self, z: np.ndarray) -> np.ndarray:
         """NumPy twin of :meth:`expmap0`.
 
-        The backend kernel uses the same guarded norm as the Tensor path —
+        The kernel uses the same guarded norm as the Tensor path —
         ``sqrt(||z||^2 + MIN_NORM)`` — so the divisor is floored
         identically and the two implementations agree to the last ulp.
         """
-        return get_backend().lorentz_expmap0(z)
+        return kernels.lorentz_expmap0(z)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import kernels
 from ..autodiff import Tensor, concat
-from ..backend import get_backend
-from .constants import EPS as _EPS
+from ..constants import EPS as _EPS
 
 __all__ = [
     "lorentz_to_poincare",
@@ -58,23 +58,23 @@ def klein_to_poincare(x: Tensor) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# NumPy versions (backend-routed)
+# NumPy versions
 # ----------------------------------------------------------------------
 def lorentz_to_poincare_np(x: np.ndarray) -> np.ndarray:
     """NumPy twin of :func:`lorentz_to_poincare`."""
-    return get_backend().lorentz_to_poincare(x)
+    return kernels.lorentz_to_poincare(x)
 
 
 def poincare_to_lorentz_np(x: np.ndarray) -> np.ndarray:
     """NumPy twin of :func:`poincare_to_lorentz`."""
-    return get_backend().poincare_to_lorentz(x)
+    return kernels.poincare_to_lorentz(x)
 
 
 def poincare_to_klein_np(x: np.ndarray) -> np.ndarray:
     """NumPy twin of :func:`poincare_to_klein`."""
-    return get_backend().poincare_to_klein(x)
+    return kernels.poincare_to_klein(x)
 
 
 def klein_to_poincare_np(x: np.ndarray) -> np.ndarray:
     """NumPy twin of :func:`klein_to_poincare`."""
-    return get_backend().klein_to_poincare(x)
+    return kernels.klein_to_poincare(x)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Parameter, Tensor, binary_cross_entropy_with_logits, concat
+from ..constants import LOG_EPS
 from ..data import InteractionDataset
-from ..manifolds.constants import LOG_EPS
 from .base import Recommender, TrainConfig
 from .graph import BipartiteGraph
 

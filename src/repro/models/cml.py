@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Parameter, Tensor, hinge
+from ..constants import DIV_EPS
 from ..data import InteractionDataset
-from ..manifolds.constants import DIV_EPS
 from .base import Recommender, TrainConfig
 
 __all__ = ["CML", "CMLF"]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..constants import DIV_EPS
 from ..data import InteractionDataset, Split
-from ..manifolds.constants import DIV_EPS
 from .base import Recommender, TrainConfig
 
 __all__ = ["ItemKNN"]

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Parameter, Tensor
+from ..constants import LOG_EPS, MULT_UPDATE_EPS
 from ..data import InteractionDataset, Split
-from ..manifolds.constants import LOG_EPS, MULT_UPDATE_EPS
 from .base import Recommender, TrainConfig
 
 __all__ = ["BPRMF", "NMF"]

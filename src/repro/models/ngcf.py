@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Parameter, Tensor, concat
+from ..constants import LOG_EPS
 from ..data import InteractionDataset
-from ..manifolds.constants import LOG_EPS
 from .base import Recommender, TrainConfig
 from .graph import BipartiteGraph
 

@@ -32,9 +32,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Parameter, Tensor, concat, hinge, no_grad
-from ..backend import get_backend
+from .. import kernels
+from ..constants import BOUNDARY_EPS, DIV_EPS, MIN_NORM
 from ..data import InteractionDataset
-from ..manifolds.constants import BOUNDARY_EPS, DIV_EPS, MIN_NORM
 from ..manifolds import (
     Lorentz,
     PoincareBall,
@@ -361,7 +361,7 @@ class TaxoRec(Recommender):
 # ----------------------------------------------------------------------
 def _pairwise_sq_dist_lorentz(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pairwise squared hyperbolic distances between Lorentz row sets."""
-    return get_backend().sq_dist_lorentz(u, v)
+    return kernels.sq_dist_lorentz(u, v)
 
 
 def _poincare_log0(x: Tensor) -> Tensor:

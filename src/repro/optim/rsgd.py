@@ -19,8 +19,8 @@ from typing import Iterable
 import numpy as np
 
 from ..autodiff import Parameter
+from ..constants import MIN_NORM
 from ..manifolds import Euclidean
-from ..manifolds.constants import MIN_NORM
 
 __all__ = ["RiemannianSGD"]
 

@@ -10,8 +10,7 @@ sub-linearly over the precomputed reduced arrays
 through the exact monotone map — measured against the offline evaluator
 by :mod:`repro.retrieval.harness`.
 
-One process has one *active* retrieval kind, mirroring
-:mod:`repro.backend` selection:
+One process has one *active* retrieval kind:
 
 1. :func:`set_retrieval` (the serve CLI's ``--retrieval`` flag calls
    :func:`activate_retrieval`, which also exports ``REPRO_RETRIEVAL``
@@ -24,8 +23,8 @@ The active kind is an *id*, not an index: services build their own
 :class:`CandidateIndex` per artifact snapshot (see
 ``repro.serve.service``) and record its provenance in ``stats()``; the
 id is stamped into the ``repro.run/v1`` / ``repro.model/v1`` /
-``repro.bench/v1`` environment blocks exactly like the backend id, so
-every result is attributable to a retrieval mode.
+``repro.bench/v1`` environment blocks, so every result is attributable
+to a retrieval mode.
 """
 
 from __future__ import annotations

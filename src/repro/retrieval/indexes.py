@@ -32,9 +32,7 @@ make the approximate indexes degrade to an internal :class:`ExactIndex`
 be served with any ``--retrieval`` flag.
 
 Indexes are immutable after construction and safe to share across
-threads; all matmul/norm kernels route through
-:func:`repro.backend.get_backend`, so ``--backend``/``REPRO_BACKEND``
-covers index queries exactly like full scoring.
+threads.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ import time
 
 import numpy as np
 
-from ..backend import get_backend
-from ..backend.constants import RETRIEVAL_BOUND_SLACK
+from ..constants import RETRIEVAL_BOUND_SLACK
 from ..eval.metrics import rank_topk
 from ..families import FAMILIES
 from .reduction import Reduction, ReductionUnsupported, reduce_score_fn
@@ -244,7 +241,6 @@ class BlockwiseIndex(_ReducedIndex):
         budget = min(k + self.pad + len(seen), self.n_items)
         queries, offset = self._query_row(user)
 
-        xp = get_backend()
         lowp = self._sweep_vectors is not None
         if lowp:
             sweep_q = queries.astype(self._sweep_vectors.dtype)
@@ -253,7 +249,7 @@ class BlockwiseIndex(_ReducedIndex):
         for lo in range(0, self.n_items, self.block_items):
             hi = min(lo + self.block_items, self.n_items)
             if lowp:
-                block = xp.matmul(sweep_q, self._sweep_vectors[lo:hi].T)[0]
+                block = np.matmul(sweep_q, self._sweep_vectors[lo:hi].T)[0]
                 block = block + self._sweep_bias[lo:hi]
             else:
                 block = self.reduction.reduced_scores(queries, lo, hi)[0]
@@ -275,7 +271,7 @@ class BlockwiseIndex(_ReducedIndex):
         if lowp:
             # Re-score survivors in float64 so returned values are exact.
             survivors = np.ascontiguousarray(self.reduction.item_vectors[ids])
-            vals = xp.matmul(np.repeat(queries, 2, axis=0), survivors.T)[0]
+            vals = np.matmul(np.repeat(queries, 2, axis=0), survivors.T)[0]
             vals = vals + self.reduction.item_bias[ids]
             if len(seen):
                 vals[np.isin(ids, seen, assume_unique=False)] = -np.inf
@@ -333,8 +329,7 @@ class BucketedIndex(_ReducedIndex):
             raise ValueError(f"max_scan must be in (0, 1], got {max_scan}")
         if self.reduction is None:
             return
-        xp = get_backend()
-        norms = xp.norm(self.reduction.item_vectors, axis=1)
+        norms = np.linalg.norm(self.reduction.item_vectors, axis=1)
         order = np.argsort(-norms, kind="stable").astype(np.int64)
         self._perm = order
         self._inv_perm = np.empty_like(order)
@@ -356,7 +351,7 @@ class BucketedIndex(_ReducedIndex):
             # Reducible hyperboloid families keep raw rows as item_vectors:
             # column 0 is the time coordinate cosh(ρ), monotone in ρ.
             times = self._vectors[:, 0]
-            rho = xp.arccosh(
+            rho = np.arccosh(
                 np.maximum(
                     np.asarray([[times[lo:hi].min(), times[lo:hi].max()] for lo, hi in self._slices]),
                     1.0,
@@ -369,17 +364,16 @@ class BucketedIndex(_ReducedIndex):
 
     def bucket_bounds(self, query: np.ndarray) -> np.ndarray:
         """The provable reduced-score upper bound of each bucket."""
-        xp = get_backend()
-        q_norm = float(xp.norm(query))
+        q_norm = float(np.linalg.norm(query))
         bounds = q_norm * self._max_norm * (1.0 + RETRIEVAL_BOUND_SLACK) + self._max_bias
         if self._radial is not None:
             # q = [-u₀, u₁…], so the query's time coordinate is -q[0].
-            rho_q = float(xp.arccosh(np.maximum(-query[0], 1.0)))
+            rho_q = float(np.arccosh(np.maximum(-query[0], 1.0)))
             lo, hi = self._radial
             gap = np.where(rho_q < lo, lo - rho_q, np.where(rho_q > hi, rho_q - hi, 0.0))
             # Shrinking the gap keeps the bound provable under rounding:
             # -cosh underestimates in magnitude for a smaller argument.
-            radial_bound = -xp.cosh(gap * (1.0 - RETRIEVAL_BOUND_SLACK))
+            radial_bound = -np.cosh(gap * (1.0 - RETRIEVAL_BOUND_SLACK))
             bounds = np.minimum(bounds, radial_bound)
         return bounds
 
@@ -399,7 +393,6 @@ class BucketedIndex(_ReducedIndex):
         if k + len(seen) >= self.n_items:
             budget_items = self.n_items
 
-        xp = get_backend()
         pos_chunks: list[np.ndarray] = []
         val_chunks: list[np.ndarray] = []
         scanned = 0
@@ -411,7 +404,7 @@ class BucketedIndex(_ReducedIndex):
             if scanned >= budget_items and unseen_held >= k:
                 break  # approximate mode: scan budget exhausted
             lo, hi = self._slices[b]
-            vals = xp.matmul(np.repeat(queries, 2, axis=0), self._vectors[lo:hi].T)[0]
+            vals = np.matmul(np.repeat(queries, 2, axis=0), self._vectors[lo:hi].T)[0]
             vals = vals + self._bias[lo:hi]
             if len(seen_pos):
                 inside = seen_pos[(seen_pos >= lo) & (seen_pos < hi)]

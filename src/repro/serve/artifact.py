@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..backend import get_backend
 from ..families import FAMILIES
 from ..retrieval import get_retrieval
 from .errors import ArtifactError, SchemaMismatchError, UnknownScoreFnError
@@ -71,7 +70,6 @@ def _environment() -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "backend": get_backend().name,
         "retrieval": get_retrieval(),
     }
 

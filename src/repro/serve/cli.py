@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 
-from ..backend import UnknownBackendError, activate_backend, available_backends
 from ..retrieval import UnknownRetrievalError, activate_retrieval, available_retrieval
 from .artifact import export_from_checkpoint, load_artifact
 from .errors import ServeError
@@ -54,9 +53,6 @@ def build_export_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shared", action="store_true",
                         help="also explode the artifact into an mmap-able shared "
                         "bundle directory (<out minus .npz>) for worker pools")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help=f"compute backend {available_backends()} "
-                        "(default: $REPRO_BACKEND or 'numpy')")
     return parser
 
 
@@ -89,10 +85,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hot-swap-poll", type=float, default=0.0, metavar="SECS",
                         help="poll the artifact path every SECS seconds and hot-swap "
                         "when its target changes (0 disables; workers only)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help=f"compute backend {available_backends()} "
-                        "(default: $REPRO_BACKEND or 'numpy'; exported to "
-                        "forked shard workers)")
     parser.add_argument("--retrieval", default=None, metavar="KIND",
                         help=f"candidate index {available_retrieval()} "
                         "(default: $REPRO_RETRIEVAL or 'exact'; exported to "
@@ -101,18 +93,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="repro.events/v1 JSON file folded into the loaded "
                         "artifact before serving (repro.stream; single-process only)")
     return parser
-
-
-def _apply_backend(name: str | None) -> int:
-    """Activate a ``--backend`` flag; returns the exit code (0 = ok)."""
-    if name is None:
-        return 0
-    try:
-        activate_backend(name)
-    except UnknownBackendError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return 0
 
 
 def _apply_retrieval(name: str | None) -> int:
@@ -130,8 +110,6 @@ def _apply_retrieval(name: str | None) -> int:
 def export_main(argv: list[str]) -> int:
     """Entry point for the ``export`` subcommand."""
     args = build_export_parser().parse_args(argv)
-    if _apply_backend(args.backend):
-        return 2
     try:
         out = export_from_checkpoint(args.source, args.out, best=args.best)
     except (ServeError, KeyError, TypeError) as exc:
@@ -249,8 +227,6 @@ def _serve_pool(args) -> int:
 def serve_main(argv: list[str]) -> int:
     """Entry point for the ``serve`` subcommand."""
     args = build_serve_parser().parse_args(argv)
-    if _apply_backend(args.backend):
-        return 2
     if _apply_retrieval(args.retrieval):
         return 2
     if args.workers < 0:

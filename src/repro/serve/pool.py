@@ -112,22 +112,16 @@ def _worker_main(
     retrieval_params: dict | None,
 ) -> None:
     """Worker process body: build the shard-scoped service, serve, report."""
-    from ..backend import ENV_VAR, set_backend
     from ..retrieval import ENV_VAR as RETRIEVAL_ENV_VAR
     from ..retrieval import set_retrieval
     from .http import create_server
     from .router import ShardedService
 
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    # Resolve the compute backend from the environment explicitly rather
-    # than trusting fork-inherited module state: under a spawn start method
-    # (non-POSIX fallback) the parent's set_backend() call never happened
-    # in this process, and the explicit call keeps both start methods on
-    # the same code path.
-    set_backend(os.environ.get(ENV_VAR, "numpy"))
-    # The retrieval selection follows the same rule: an explicit argument
-    # wins, otherwise REPRO_RETRIEVAL (exported by activate_retrieval in
-    # the parent) decides, on both fork and spawn start methods.
+    # Resolve the retrieval kind explicitly rather than trusting
+    # fork-inherited module state: an explicit argument wins, otherwise
+    # REPRO_RETRIEVAL (exported by activate_retrieval in the parent)
+    # decides, on both fork and spawn start methods.
     set_retrieval(retrieval or os.environ.get(RETRIEVAL_ENV_VAR, "exact"))
     watcher = None
     server = None

@@ -9,7 +9,7 @@ The online half of ROADMAP item 3: everything between two full retrains.
 * :mod:`~repro.stream.foldin` — per-score-fn solvers for new-user /
   new-item embeddings against the frozen arrays (tangent-space mean on
   the hyperboloid, ridge least-squares for inner-product models),
-  backend-routed with pure-numpy ``*_reference`` twins.
+  with pure-numpy ``*_reference`` twins.
 * :mod:`~repro.stream.append` — :func:`fold_into_artifact` /
   :func:`fold_into_service`: fold deltas into a validated new
   ``repro.model/v1`` artifact and hot-swap it into a live service.

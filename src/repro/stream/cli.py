@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
-from ..backend import UnknownBackendError, activate_backend, available_backends
 from ..utils import render_table
 
 __all__ = ["main", "build_parser"]
@@ -46,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     fold.add_argument("--out", required=True, help="output artifact path (.npz)")
     fold.add_argument("--reference", action="store_true",
                       help="use the pure-numpy reference solvers (differential debugging)")
-    fold.add_argument("--backend", default=None, metavar="NAME",
-                      help=f"compute backend {available_backends()}")
 
     replay = sub.add_parser("replay", help="staleness replay: fold-in vs retrain vs frozen")
     replay.add_argument("--model", default="CML", help="registry model (default: CML)")
@@ -57,27 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--epochs", type=int, default=30)
     replay.add_argument("--seed", type=int, default=0)
     replay.add_argument("--out", default=None, help="write the replay summary as JSON")
-    replay.add_argument("--backend", default=None, metavar="NAME",
-                        help=f"compute backend {available_backends()}")
 
     bench = sub.add_parser("bench", help="paired fold-in vs retrain latency benchmark")
     bench.add_argument("--quick", action="store_true", help="CI smoke workloads")
     bench.add_argument("--out", default=None, help="result path (default: BENCH_stream.json)")
     bench.add_argument("--repeats", type=int, default=None)
-    bench.add_argument("--backend", default=None, metavar="NAME",
-                       help=f"compute backend {available_backends()}")
     return parser
-
-
-def _activate(name: str | None) -> int:
-    if name is None:
-        return 0
-    try:
-        activate_backend(name)
-    except UnknownBackendError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return 0
 
 
 def _fold(args) -> int:
@@ -156,9 +137,6 @@ def _bench(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    code = _activate(args.backend)
-    if code:
-        return code
     if args.command == "fold":
         return _fold(args)
     if args.command == "replay":

@@ -20,7 +20,7 @@ fixes, regression-locked by ``tests/test_stream_attach.py``).
 
 New tags also need embeddings for the regulariser and the next fold-in:
 :func:`place_tag_embedding` drops the tag at the Einstein midpoint of
-its terminal node's members (Klein model, backend-routed), mapped back
+its terminal node's members (Klein model), mapped back
 to the Poincaré ball and projected — honouring ``REPRO_CHECK_MANIFOLD=1``
 containment checks.  The expanded taxonomy serialises through the
 existing ``to_dict``/``from_dict``, so it travels in ``repro.ckpt/v1``
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import get_backend
+from .. import kernels
 from ..taxonomy.scoring import argmax_tiebreak, score_tags
 from ..taxonomy.tree import Taxonomy, TaxonomyNode
 
@@ -160,10 +160,9 @@ def place_tag_embedding(
     member_ids = np.asarray(member_ids, dtype=np.int64)
     if member_ids.size == 0:
         return np.zeros(tag_emb.shape[1])
-    xp = get_backend()
-    klein = xp.poincare_to_klein(tag_emb[member_ids])
-    mid = xp.einstein_midpoint(klein, np.ones(len(member_ids)))
-    point = xp.klein_to_poincare(mid[None, :])[0]
+    klein = kernels.poincare_to_klein(tag_emb[member_ids])
+    mid = kernels.einstein_midpoint(klein, np.ones(len(member_ids)))
+    point = kernels.klein_to_poincare(mid[None, :])[0]
     if ball is not None:
         point = ball.proj(point)
         point = ball.check_point(point)

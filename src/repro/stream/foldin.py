@@ -24,15 +24,14 @@ events all duplicate training interactions is an exact no-op, the
 contract ``tests/test_stream_foldin.py`` locks at 1e-10.
 
 The pure-numpy ``*_reference`` twins replay the solvers
-expression-for-expression for the differential suite and are exempt
-from the backend-discipline lint by name.
+expression-for-expression for the differential suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..backend.constants import FOLDIN_RIDGE, MAX_TANH_ARG, MIN_NORM
+from ..constants import FOLDIN_RIDGE, MAX_TANH_ARG, MIN_NORM
 from ..families import FAMILIES, FoldInUnsupported, ScoreFamily, _alpha_default
 
 __all__ = [
@@ -165,7 +164,7 @@ def fold_in_user_reference(
     prior_weight: float = 0.0,
     ridge: float = RIDGE,
 ) -> dict:
-    """Pure-numpy exact twin of :func:`fold_in_user` (never backend-routed)."""
+    """Pure-numpy exact twin of :func:`fold_in_user` (independent of :mod:`repro.kernels`)."""
     _require_foldable(score_fn)
     item_ids = np.asarray(item_ids, dtype=np.int64)
     if item_ids.size == 0:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend.constants import DIV_EPS
+from ..constants import DIV_EPS
 from ..data import load_preset
 from ..eval.metrics import ndcg_at_k, rank_topk, recall_at_k
 from ..models import MODEL_REGISTRY, TrainConfig

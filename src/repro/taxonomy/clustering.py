@@ -24,7 +24,7 @@ from ..manifolds import (
     klein_to_poincare_np,
     poincare_to_klein_np,
 )
-from ..manifolds.constants import EPS as _EPS
+from ..constants import EPS as _EPS
 from ..utils import ensure_rng
 from .scoring import group_item_sets, score_tags
 

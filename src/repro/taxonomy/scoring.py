@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..manifolds.constants import DIV_EPS
+from ..constants import DIV_EPS
 
 __all__ = ["argmax_tiebreak", "group_item_sets", "score_tags", "bm25_rank"]
 

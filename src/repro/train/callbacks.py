@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from ..manifolds.constants import DIV_EPS
+from ..constants import DIV_EPS
 from ..utils import get_logger
 from .engine import save_checkpoint, snapshot_state_dict
 

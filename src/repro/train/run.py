@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..backend import get_backend
 from ..retrieval import get_retrieval
 from ..utils import Timer
 from .callbacks import (
@@ -65,7 +64,6 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "backend": get_backend().name,
         "retrieval": get_retrieval(),
     }
 

@@ -1,6 +1,6 @@
 """Fixture: centralised constants and signature defaults are both fine."""
 
-from repro.manifolds.constants import DIV_EPS
+from repro.constants import DIV_EPS
 
 
 def floor_denominator(x, eps: float = 1e-9):  # signature defaults are exempt

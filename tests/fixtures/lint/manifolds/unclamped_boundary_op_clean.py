@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.manifolds.constants import EPS, MIN_NORM
+from repro.constants import EPS, MIN_NORM
 
 
 def guarded_sqrt(sq):

@@ -27,7 +27,6 @@ from repro.analysis.cli import main
 REPO_ROOT = Path(__file__).parents[1]
 
 RULE_NAMES = {
-    "backend-discipline",
     "bare-except",
     "global-rng",
     "inplace-tensor-data",

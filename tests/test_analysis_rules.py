@@ -8,11 +8,6 @@ import pytest
 from repro.analysis import analyze_file, analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
-# backend-discipline scopes by dotted module name, so its fixtures live in a
-# mini src/ tree that module_name_for_path normalises to repro.* modules.
-BACKEND_FIXTURES = Path(__file__).parent / "fixtures" / "lint_backend"
-RETRIEVAL_FIXTURES = Path(__file__).parent / "fixtures" / "lint_retrieval"
-STREAM_FIXTURES = Path(__file__).parent / "fixtures" / "lint_stream"
 
 # (rule, bad fixture, expected violation count, clean twin)
 CASES = [
@@ -100,24 +95,6 @@ CASES = [
         2,
         FIXTURES / "bad_suppression_clean.py",
     ),
-    (
-        "backend-discipline",
-        BACKEND_FIXTURES / "src" / "repro" / "manifolds" / "backend_discipline_bad.py",
-        3,
-        BACKEND_FIXTURES / "src" / "repro" / "manifolds" / "backend_discipline_clean.py",
-    ),
-    (
-        "backend-discipline",
-        RETRIEVAL_FIXTURES / "src" / "repro" / "retrieval" / "backend_discipline_bad.py",
-        3,
-        RETRIEVAL_FIXTURES / "src" / "repro" / "retrieval" / "backend_discipline_clean.py",
-    ),
-    (
-        "backend-discipline",
-        STREAM_FIXTURES / "src" / "repro" / "stream" / "backend_discipline_bad.py",
-        3,
-        STREAM_FIXTURES / "src" / "repro" / "stream" / "backend_discipline_clean.py",
-    ),
 ]
 
 CASE_IDS = [case[0] for case in CASES]
@@ -147,7 +124,7 @@ def test_file_level_suppression_silences_rule(rule, bad_path, expected, clean_pa
 
 
 def test_constants_module_path_is_exempt_from_magic_epsilon():
-    violations = analyze_file(FIXTURES / "manifolds" / "constants.py")
+    violations = analyze_file(FIXTURES / "repro" / "constants.py")
     assert violations == [], "\n".join(v.format() for v in violations)
 
 
@@ -219,36 +196,3 @@ def test_reassigned_norm_with_floor_is_guarded():
             if v.rule == "unclamped-boundary-op"]
     assert hits == []
 
-
-def test_backend_discipline_is_warn_severity():
-    bad = BACKEND_FIXTURES / "src" / "repro" / "manifolds" / "backend_discipline_bad.py"
-    hits = [v for v in analyze_file(bad) if v.rule == "backend-discipline"]
-    assert hits and all(v.severity == "warn" for v in hits)
-
-
-def test_backend_package_is_exempt_from_backend_discipline():
-    violations = analyze_file(BACKEND_FIXTURES / "src" / "repro" / "backend" / "fastmath.py")
-    assert violations == [], "\n".join(v.format() for v in violations)
-
-
-def test_backend_discipline_covers_scoring_and_autodiff_modules():
-    source = "import numpy as np\n\ndef f(u, v):\n    return np.matmul(u, v.T)\n"
-    for module in (
-        "src/repro/families.py",
-        "src/repro/autodiff/ops.py",
-        "src/repro/retrieval/reduction.py",
-        "src/repro/retrieval/indexes.py",
-        "src/repro/stream/foldin.py",
-        "src/repro/stream/expand.py",
-    ):
-        hits = [v for v in analyze_source(source, module) if v.rule == "backend-discipline"]
-        assert len(hits) == 1, module
-
-
-def test_backend_discipline_ignores_unrouted_modules_and_structural_numpy():
-    kernel = "import numpy as np\n\ndef f(u, v):\n    return np.matmul(u, v.T)\n"
-    assert analyze_source(kernel, "src/repro/models/demo.py") == []
-    structural = "import numpy as np\n\ndef f(x):\n    return np.sum(np.abs(x), axis=-1)\n"
-    hits = [v for v in analyze_source(structural, "src/repro/manifolds/demo.py")
-            if v.rule == "backend-discipline"]
-    assert hits == []

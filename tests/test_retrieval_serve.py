@@ -1,9 +1,9 @@
 """Serving integration for ``--retrieval``: selection, provenance, swaps.
 
-The retrieval kind rides the same rails as the compute backend: one
-process-wide active id (flag > ``REPRO_RETRIEVAL`` > ``"exact"``), per
-snapshot index builds inside the service, provenance in ``stats()``, and
-survival across hot swaps and cache invalidation.  None of it may change
+The retrieval kind is one process-wide active id (flag >
+``REPRO_RETRIEVAL`` > ``"exact"``), with per-snapshot index builds inside
+the service, provenance in ``stats()``, and survival across hot swaps
+and cache invalidation.  None of it may change
 a response — that contract lives in ``test_retrieval_parity.py``; this
 module locks the plumbing around it.
 """
@@ -78,7 +78,7 @@ def swap_artifact_v2(tiny_split, tmp_path_factory):
 
 
 # ----------------------------------------------------------------------
-# Process-wide selection: flag > env var > default, mirroring backends.
+# Process-wide selection: flag > env var > default.
 
 
 def test_default_is_exact_and_env_var_is_read_once(monkeypatch):

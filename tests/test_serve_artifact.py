@@ -149,10 +149,8 @@ class TestExportPayload:
             "python",
             "numpy",
             "platform",
-            "backend",
             "retrieval",
         }
-        assert meta["environment"]["backend"] in ("numpy", "fused")
         assert meta["environment"]["retrieval"] in ("exact", "blockwise", "bucketed")
         assert meta["created_unix"] > 0
 

@@ -8,9 +8,8 @@ artifact must reproduce the frozen top-K *identically* (ranked lists via
 ``repro.eval.topk_ranking``, scores within ``1e-10``) at
 ``k ∈ {1, 10, 50}``.
 
-The backend seam is locked the usual way: folding genuinely-new users
-under the ``fused`` backend agrees with ``numpy`` to ``1e-10``, and the
-pure-numpy ``*_reference`` twins agree with the routed solvers.
+Folding genuinely-new users is locked the usual way: the pure-numpy
+``*_reference`` twins agree with the family solvers.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import use_backend
 from repro.eval import topk_ranking
 from repro.models import MODEL_REGISTRY, TrainConfig
 from repro.serve import RecommenderService, artifact_from_model
@@ -112,31 +110,6 @@ def test_folded_topk_identical_to_evaluator(frozen, tiny_split, name, k):
         items, scores = service.recommend(int(user), k=k, exclude_seen=True)
         np.testing.assert_array_equal(items, topk[i], err_msg=f"{name} user {user} k={k}")
         assert np.all(np.diff(scores) <= 0)
-
-
-@pytest.mark.parametrize("name", FAMILY_MODELS)
-def test_new_user_fold_fused_matches_numpy_within_1e10(frozen, name):
-    """Folding genuinely-new users: backend seam locked at 1e-10."""
-    _, artifact = frozen(name)
-    new_user = artifact.n_users
-    new_item = artifact.n_items
-    events = [(new_user, 0), (new_user, 3), (new_user, new_item), (0, new_item)]
-
-    def fold_with(backend: str):
-        state = StreamState.from_artifact(artifact)
-        state.ingest(events)
-        with use_backend(backend):
-            return fold_into_artifact(artifact, state)
-
-    base = fold_with("numpy")
-    fused = fold_with("fused")
-    assert base.n_users == artifact.n_users + 1
-    assert base.n_items == artifact.n_items + 1
-    for key, arr in base.arrays.items():
-        assert np.all(np.isfinite(arr)), f"{name}:{key}"
-        np.testing.assert_allclose(
-            fused.arrays[key], arr, rtol=0.0, atol=1e-10, err_msg=f"{name}:{key}"
-        )
 
 
 @pytest.mark.parametrize("name", FAMILY_MODELS)
