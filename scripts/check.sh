@@ -13,17 +13,7 @@ echo "== tier-2 tests (slow: hypothesis + e2e) =="
 REPRO_HYPOTHESIS_PROFILE=ci python -m pytest -x -q -m slow
 
 echo "== repro.analysis =="
-python -m repro.analysis src tests scripts --baseline lint-baseline.json --cache .lint-cache.json
-
-echo "== repro.analysis json smoke =="
-python -m repro.analysis src --format json --out lint-report.json >/dev/null
-python - <<'PY'
-import json
-
-payload = json.load(open("lint-report.json"))
-assert {"violations", "counts", "errors", "warnings"} <= set(payload), sorted(payload)
-print(f"lint-report.json ok ({payload['total']} finding(s))")
-PY
+python -m repro.analysis src tests scripts
 
 echo "== ruff =="
 if command -v ruff >/dev/null 2>&1; then

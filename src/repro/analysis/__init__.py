@@ -1,54 +1,28 @@
 """Numerics-aware static analysis for the repro codebase.
 
-An AST-based lint engine with codebase-specific rules at two levels:
-per-file checks (manifold boundary clamping, epsilon centralisation,
-autodiff tape contracts, manifold point/tangent flow, hot-path perf lints,
-library hygiene) and whole-program checks run over a
-:class:`~repro.analysis.project.ProjectContext` built from every analysed
-AST in one pass (the serving export contract, reference-twin pairing, the
-parameter-container ``state_dict`` reachability contract).  Run it with
-``python -m repro.analysis [paths]`` or through the :func:`analyze_paths`
-API; ``tests/test_analysis_self.py`` keeps the repo violation-free under
-pytest.  See ``docs/ANALYSIS.md`` for the full rule catalog.
+An AST-based lint engine with codebase-specific per-file rules: manifold
+boundary clamping, epsilon centralisation, autodiff tape contracts and
+library hygiene.  Run it with ``python -m repro.analysis [paths]`` or
+through the :func:`analyze_paths` API; ``tests/test_analysis_self.py``
+keeps the repo violation-free under pytest.  See ``docs/ANALYSIS.md`` for
+the full rule catalog.
 """
 
-from .baseline import Baseline, fingerprint, split_by_baseline
-from .cache import LintCache
+from .cli import render_text
 from .engine import Suppressions, analyze_file, analyze_paths, analyze_source, iter_python_files
-from .project import ProjectContext
-from .registry import (
-    FileContext,
-    ProjectRule,
-    Rule,
-    Violation,
-    all_project_rules,
-    all_rules,
-    get_rule,
-    known_rule_names,
-)
-from .reporting import render_json, render_sarif, render_text, write_report
+from .registry import FileContext, Rule, Violation, all_rules, get_rule, known_rule_names
 
 __all__ = [
     "Violation",
     "Rule",
-    "ProjectRule",
     "FileContext",
-    "ProjectContext",
     "Suppressions",
-    "Baseline",
-    "LintCache",
     "all_rules",
-    "all_project_rules",
     "get_rule",
     "known_rule_names",
-    "fingerprint",
-    "split_by_baseline",
     "analyze_source",
     "analyze_file",
     "analyze_paths",
     "iter_python_files",
     "render_text",
-    "render_json",
-    "render_sarif",
-    "write_report",
 ]

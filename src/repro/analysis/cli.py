@@ -1,23 +1,32 @@
 """Command line front end: ``python -m repro.analysis [paths]``.
 
-Exit codes: 0 — no unbaselined ``error``-severity findings (``warn``
-findings never fail a run); 1 — unbaselined errors found; 2 — usage or
-I/O error (unknown rule, missing path, bad format, unreadable baseline).
+Exit codes: 0 — no findings; 1 — findings reported; 2 — usage or I/O
+error (missing path).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import IO, Sequence
 
-from .baseline import Baseline, split_by_baseline
 from .engine import analyze_paths
-from .registry import all_project_rules, all_rules
-from .reporting import REPORT_FORMATS, write_report
+from .registry import Violation, all_rules
 
-__all__ = ["main"]
+__all__ = ["main", "render_text"]
+
+
+def render_text(violations: Sequence[Violation]) -> str:
+    """One ``path:line:col: rule: message`` line per finding plus a summary."""
+    if not violations:
+        return "repro.analysis: no violations\n"
+    lines = [v.format() for v in violations]
+    counts = Counter(v.rule for v in violations)
+    breakdown = ", ".join(f"{name}={n}" for name, n in sorted(counts.items()))
+    lines.append(f"repro.analysis: {len(violations)} violation(s) ({breakdown})")
+    return "\n".join(lines) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,49 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyse (default: src if present, else .)",
     )
     parser.add_argument(
-        "--format",
-        choices=REPORT_FORMATS,
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write the report to PATH instead of stdout",
-    )
-    parser.add_argument(
-        "--select",
-        default="",
-        metavar="RULES",
-        help="comma-separated rule names to run exclusively",
-    )
-    parser.add_argument(
-        "--ignore",
-        default="",
-        metavar="RULES",
-        help="comma-separated rule names to skip",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file of grandfathered findings; matches are tolerated",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the --baseline file with the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        help="incremental cache file keyed by content hashes (off unless given)",
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the cross-module project rules (file rules only)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
@@ -81,61 +47,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split(csv: str) -> list[str]:
-    return [part.strip() for part in csv.split(",") if part.strip()]
-
-
 def main(argv: Sequence[str] | None = None, stdout: IO[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     out = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
 
     if args.list_rules:
         for rule in all_rules():
-            out.write(f"{rule.name} [{rule.severity}]: {rule.description}\n")
-        for rule in all_project_rules():
-            out.write(f"{rule.name} [{rule.severity}, project]: {rule.description}\n")
+            out.write(f"{rule.name}: {rule.description}\n")
         return 0
-
-    if args.write_baseline and not args.baseline:
-        sys.stderr.write("repro.analysis: error: --write-baseline requires --baseline\n")
-        return 2
 
     paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
     try:
-        violations = analyze_paths(
-            paths,
-            select=_split(args.select),
-            ignore=_split(args.ignore),
-            project=not args.no_project,
-            cache_path=args.cache,
-        )
-    except (KeyError, FileNotFoundError) as exc:
+        violations = analyze_paths(paths)
+    except FileNotFoundError as exc:
         sys.stderr.write(f"repro.analysis: error: {exc}\n")
         return 2
-
-    if args.write_baseline:
-        Baseline().write(args.baseline, violations)
-        out.write(
-            f"repro.analysis: wrote {len(violations)} finding(s) to {args.baseline}\n"
-        )
-        return 0
-
-    baselined = 0
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            sys.stderr.write(f"repro.analysis: error: {exc}\n")
-            return 2
-        violations, grandfathered = split_by_baseline(violations, baseline)
-        baselined = len(grandfathered)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write_report(violations, handle, fmt=args.format, baselined=baselined)
-        out.write(f"repro.analysis: report written to {args.out}\n")
-    else:
-        write_report(violations, out, fmt=args.format, baselined=baselined)
-    return 1 if any(v.severity == "error" for v in violations) else 0
+    out.write(render_text(violations))
+    return 1 if violations else 0

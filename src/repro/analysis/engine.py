@@ -1,13 +1,8 @@
-"""File walking, suppression parsing, rule dispatch and the project pass.
+"""File walking, suppression parsing and rule dispatch.
 
-The engine parses each file once, extracts ``# repro-lint:`` suppression
-comments with :mod:`tokenize`, runs every applicable registered file rule
-over the AST and filters the findings through the suppressions.  When a
-whole tree is analysed (:func:`analyze_paths`), a
-:class:`~repro.analysis.project.ProjectContext` is additionally built from
-all ASTs in one pass and the registered project rules run over it, so
-cross-module contracts (serving exports, reference twins, parameter
-containers) are checked too.
+The engine decodes and parses each file once, extracts ``# repro-lint:``
+suppression comments with :mod:`tokenize`, runs every applicable registered
+rule over the AST and filters the findings through the suppressions.
 
 Suppression syntax
 ------------------
@@ -20,6 +15,11 @@ Suppression syntax
       # repro-lint: disable=magic-epsilon
 
 * ``disable=all`` disables every rule.
+
+The rule list is comma-separated; anything after it is free text, so a
+justification can follow on the same comment::
+
+      B = 1e-12  # repro-lint: disable=magic-epsilon because the test pins it
 
 Naming a rule that does not exist is itself a finding
 (``bad-suppression``): a typo in a suppression must not silently re-enable
@@ -34,19 +34,9 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .cache import LintCache, file_digest, ruleset_signature
-from .project import ProjectContext
-from .registry import (
-    FileContext,
-    ProjectRule,
-    Rule,
-    Violation,
-    all_project_rules,
-    all_rules,
-    known_rule_names,
-)
+from .registry import FileContext, Violation, all_rules, known_rule_names
 
 __all__ = [
     "Suppressions",
@@ -56,7 +46,7 @@ __all__ = [
     "iter_python_files",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([\w\-,\s]+)")
+_SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=\s*([\w-]+(?:\s*,\s*[\w-]+)*)")
 
 # Directory names never walked by iter_python_files: lint fixtures are
 # deliberately-violating test data, caches are generated artifacts.
@@ -86,7 +76,7 @@ class Suppressions:
             match = _SUPPRESS_RE.search(tok.string)
             if not match:
                 continue
-            names = {part.strip() for part in match.group(1).split(",") if part.strip()}
+            names = {part.strip() for part in match.group(1).split(",")}
             standalone = tok.line[: tok.start[1]].strip() == ""
             if standalone:
                 supp.file_level |= names
@@ -109,56 +99,21 @@ class Suppressions:
         return "all" not in line_rules and violation.rule not in line_rules
 
 
-def _validate_suppressions(
-    supp: Suppressions,
-    path: PurePosixPath,
-    lines: list[str],
-    select: Sequence[str] | None,
-    ignore: Sequence[str] | None,
-) -> list[Violation]:
+def _validate_suppressions(supp: Suppressions, path: PurePosixPath) -> list[Violation]:
     """``bad-suppression`` findings for rule names that do not exist."""
-    if (select and "bad-suppression" not in select) or (
-        ignore and "bad-suppression" in ignore
-    ):
-        return []
     known = known_rule_names()
-    out = []
-    for line, col, name in supp.mentions:
-        if name == "all" or name in known:
-            continue
-        snippet = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
-        out.append(
-            Violation(
-                rule="bad-suppression",
-                path=str(path),
-                line=line,
-                col=col,
-                message=f"suppression names unknown rule {name!r}; it masks nothing "
-                "(fix the typo or drop it)",
-                snippet=snippet,
-            )
+    return [
+        Violation(
+            rule="bad-suppression",
+            path=str(path),
+            line=line,
+            col=col,
+            message=f"suppression names unknown rule {name!r}; it masks nothing "
+            "(fix the typo or drop it)",
         )
-    return out
-
-
-def _select_rules(
-    select: Sequence[str] | None = None, ignore: Sequence[str] | None = None
-) -> tuple[list[Rule], list[ProjectRule]]:
-    rules = list(all_rules())
-    project_rules = list(all_project_rules())
-    known = known_rule_names()
-    for requested in list(select or []) + list(ignore or []):
-        if requested not in known:
-            raise KeyError(f"unknown rule {requested!r}; known rules: {sorted(known)}")
-    if select:
-        chosen = set(select)
-        rules = [rule for rule in rules if rule.name in chosen]
-        project_rules = [rule for rule in project_rules if rule.name in chosen]
-    if ignore:
-        dropped = set(ignore)
-        rules = [rule for rule in rules if rule.name not in dropped]
-        project_rules = [rule for rule in project_rules if rule.name not in dropped]
-    return rules, project_rules
+        for line, col, name in supp.mentions
+        if name != "all" and name not in known
+    ]
 
 
 def _sort(violations: list[Violation]) -> list[Violation]:
@@ -166,88 +121,52 @@ def _sort(violations: list[Violation]) -> list[Violation]:
     return violations
 
 
-def _syntax_violation(posix: PurePosixPath, exc: SyntaxError, lines: list[str]) -> Violation:
-    line = exc.lineno or 1
-    return Violation(
-        rule="syntax-error",
-        path=str(posix),
-        line=line,
-        col=(exc.offset or 0) + 1 if exc.offset is not None else 1,
-        message=f"file does not parse: {exc.msg}",
-        snippet=lines[line - 1].strip() if 1 <= line <= len(lines) else "",
-    )
-
-
-def _analyze_one(
-    source: str,
-    posix: PurePosixPath,
-    rules: list[Rule],
-    select: Sequence[str] | None,
-    ignore: Sequence[str] | None,
-) -> tuple[list[Violation], ast.Module | None, Suppressions]:
-    """Findings + parse products for one file (tree is None on syntax error)."""
-    lines = source.splitlines()
+def analyze_source(source: str, path: str | PurePosixPath = "<string>") -> list[Violation]:
+    """Run every registered rule over one source string."""
+    posix = PurePosixPath(str(path).replace("\\", "/"))
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return [_syntax_violation(posix, exc, lines)], None, Suppressions()
+        return [
+            Violation(
+                rule="syntax-error",
+                path=str(posix),
+                line=exc.lineno or 1,
+                col=(exc.offset or 0) + 1,
+                message=f"file does not parse: {exc.msg}",
+            )
+        ]
     suppressions = Suppressions.from_source(source)
-    found = [
-        v
-        for v in _validate_suppressions(suppressions, posix, lines, select, ignore)
-        if suppressions.allows(v)
-    ]
-    ctx = FileContext(path=posix, source=source, tree=tree, lines=lines)
-    for rule in rules:
-        if not rule.applies_to(posix):
-            continue
-        for violation in rule.check(ctx):
-            if suppressions.allows(violation):
-                found.append(violation)
-    return _sort(found), tree, suppressions
+    found = _validate_suppressions(suppressions, posix)
+    ctx = FileContext(path=posix, source=source, tree=tree)
+    for rule in all_rules():
+        if rule.applies_to(posix):
+            found.extend(rule.check(ctx))
+    return _sort([v for v in found if suppressions.allows(v)])
 
 
-def analyze_source(
-    source: str,
-    path: str | PurePosixPath = "<string>",
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-) -> list[Violation]:
-    """Run the configured file rules over one source string."""
-    posix = PurePosixPath(str(path).replace("\\", "/"))
-    rules, _ = _select_rules(select, ignore)
-    found, _, _ = _analyze_one(source, posix, rules, select, ignore)
-    return found
+def analyze_file(path: str | Path) -> list[Violation]:
+    """Run every registered rule over one file on disk.
 
-
-def _decode(data: bytes, posix: PurePosixPath) -> tuple[str | None, Violation | None]:
-    """Decode file bytes honouring BOMs and PEP 263 coding declarations."""
+    Decoding honours BOMs and PEP 263 coding declarations; bytes that cannot
+    be decoded are reported as a ``syntax-error`` finding.
+    """
+    file_path = Path(path)
+    data = file_path.read_bytes()
     try:
         encoding, _ = tokenize.detect_encoding(io.BytesIO(data).readline)
-        return data.decode(encoding), None
+        source = data.decode(encoding)
     except (SyntaxError, UnicodeDecodeError, LookupError) as exc:
-        return None, Violation(
-            rule="syntax-error",
-            path=str(posix),
-            line=1,
-            col=1,
-            message=f"file cannot be decoded: {exc}",
-        )
-
-
-def analyze_file(
-    path: str | Path,
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-) -> list[Violation]:
-    """Run the configured file rules over one file on disk."""
-    file_path = Path(path)
-    posix = PurePosixPath(file_path.as_posix())
-    source, decode_error = _decode(file_path.read_bytes(), posix)
-    if decode_error is not None:
-        _select_rules(select, ignore)  # still validate the requested names
-        return [decode_error]
-    return analyze_source(source, file_path.as_posix(), select=select, ignore=ignore)
+        return [
+            Violation(
+                rule="syntax-error",
+                path=file_path.as_posix(),
+                line=1,
+                col=1,
+                message=f"file cannot be decoded: {exc}",
+            )
+        ]
+    return analyze_source(source, file_path.as_posix())
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -274,122 +193,6 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     return sorted(collected)
 
 
-def analyze_paths(
-    paths: Iterable[str | Path],
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-    project: bool = True,
-    cache_path: str | Path | None = None,
-) -> list[Violation]:
-    """Run file rules over a tree, then the project rules over all its ASTs.
-
-    ``cache_path`` enables the incremental cache: per-file findings are
-    keyed by content hash, the project pass by the combined hash of every
-    analysed file, so warm re-runs of an unchanged tree skip parsing and
-    rule dispatch entirely.
-    """
-    rules, project_rules = _select_rules(select, ignore)
-    files = iter_python_files(paths)
-    cache = None
-    if cache_path is not None:
-        signature = ruleset_signature(
-            [r.name for r in rules] + [r.name for r in project_rules], select, ignore
-        )
-        cache = LintCache(cache_path, signature)
-
-    digests: dict[str, str] = {}
-    raw: dict[str, bytes] = {}
-    per_file: dict[str, list[Violation]] = {}
-    parsed: dict[str, tuple[ast.Module | None, Suppressions, str]] = {}
-
-    for file_path in files:
-        posix_str = file_path.as_posix()
-        data = file_path.read_bytes()
-        digest = file_digest(data)
-        digests[posix_str] = digest
-        raw[posix_str] = data
-        cached = cache.get_file(posix_str, digest) if cache is not None else None
-        if cached is not None:
-            per_file[posix_str] = cached
-            continue
-        found = _parse_and_check(posix_str, data, rules, select, ignore, parsed)
-        per_file[posix_str] = found
-        if cache is not None:
-            cache.put_file(posix_str, digest, found)
-
-    found: list[Violation] = [v for path in sorted(per_file) for v in per_file[path]]
-
-    if project and project_rules:
-        key = LintCache.project_key(digests)
-        cached = cache.get_project(key) if cache is not None else None
-        if cached is not None:
-            found.extend(cached)
-        else:
-            project_found = _run_project_rules(
-                project_rules, files, raw, parsed, select, ignore
-            )
-            found.extend(project_found)
-            if cache is not None:
-                cache.put_project(key, project_found)
-    if cache is not None:
-        cache.save()
-    return _sort(found)
-
-
-def _parse_and_check(
-    posix_str: str,
-    data: bytes,
-    rules: list[Rule],
-    select: Sequence[str] | None,
-    ignore: Sequence[str] | None,
-    parsed: dict,
-) -> list[Violation]:
-    """Decode + parse + file rules for one file, recording parse products."""
-    posix = PurePosixPath(posix_str)
-    source, decode_error = _decode(data, posix)
-    if decode_error is not None:
-        parsed[posix_str] = (None, Suppressions(), "")
-        return [decode_error]
-    found, tree, suppressions = _analyze_one(source, posix, rules, select, ignore)
-    parsed[posix_str] = (tree, suppressions, source)
-    return found
-
-
-def _run_project_rules(
-    project_rules: list[ProjectRule],
-    files: list[Path],
-    raw: dict[str, bytes],
-    parsed: dict,
-    select: Sequence[str] | None,
-    ignore: Sequence[str] | None,
-) -> list[Violation]:
-    """Build the ProjectContext (parsing cache-hit files too) and run rules."""
-    triples = []
-    suppressions_by_path: dict[str, Suppressions] = {}
-    for file_path in files:
-        posix_str = file_path.as_posix()
-        if posix_str not in parsed:
-            # File-rule findings came from the cache; the project pass still
-            # needs the AST, so decode and parse (but skip the file rules).
-            posix = PurePosixPath(posix_str)
-            source, decode_error = _decode(raw[posix_str], posix)
-            if decode_error is not None:
-                parsed[posix_str] = (None, Suppressions(), "")
-            else:
-                try:
-                    tree = ast.parse(source)
-                except SyntaxError:
-                    tree = None
-                parsed[posix_str] = (tree, Suppressions.from_source(source), source)
-        tree, suppressions, source = parsed[posix_str]
-        suppressions_by_path[posix_str] = suppressions
-        if tree is not None:
-            triples.append((PurePosixPath(posix_str), source, tree))
-    context = ProjectContext.build(triples)
-    found: list[Violation] = []
-    for rule in project_rules:
-        for violation in rule.check_project(context):
-            supp = suppressions_by_path.get(violation.path)
-            if supp is None or supp.allows(violation):
-                found.append(violation)
-    return _sort(found)
+def analyze_paths(paths: Iterable[str | Path]) -> list[Violation]:
+    """Run every registered rule over each ``.py`` file under ``paths``."""
+    return _sort([v for file_path in iter_python_files(paths) for v in analyze_file(file_path)])

@@ -1,24 +1,13 @@
-"""Rule base classes and the global rule registries.
+"""Rule base class and the global rule registry.
 
-Two kinds of checks coexist:
-
-* **File rules** — subclasses of :class:`Rule` registered with
-  :func:`register`; each sees one parsed file (:class:`FileContext`) at a
-  time.
-* **Project rules** — subclasses of :class:`ProjectRule` registered with
-  :func:`register_project`; each sees the whole-program
-  :class:`~repro.analysis.project.ProjectContext` built from every analysed
-  file in one pass, and can therefore check cross-module contracts (the
-  serving export contract, reference-twin pairing, parameter-container
-  reachability).
-
-Both kinds share one flat name space: suppression comments and the CLI
-``--select``/``--ignore`` flags address either kind by name.
+Each check is a subclass of :class:`Rule` registered with :func:`register`;
+it sees one parsed file (:class:`FileContext`) at a time.  Suppression
+comments address rules by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import PurePosixPath
 from typing import Iterable, Iterator, Type
 
@@ -26,19 +15,11 @@ __all__ = [
     "Violation",
     "FileContext",
     "Rule",
-    "ProjectRule",
     "register",
-    "register_project",
     "all_rules",
-    "all_project_rules",
     "get_rule",
     "known_rule_names",
-    "SEVERITIES",
 ]
-
-# Every finding carries one of these; ``error`` findings gate CI, ``warn``
-# findings are advisory (reported, never an exit-code failure).
-SEVERITIES = ("error", "warn")
 
 
 @dataclass(frozen=True)
@@ -50,38 +31,10 @@ class Violation:
     line: int
     col: int
     message: str
-    severity: str = "error"
-    snippet: str = ""  # stripped source line, anchors baseline fingerprints
 
     def format(self) -> str:
         """Render in the canonical single-line text form."""
-        tag = "" if self.severity == "error" else f" [{self.severity}]"
-        return f"{self.path}:{self.line}:{self.col}: {self.rule}:{tag} {self.message}"
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (used by the reporter and the cache)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-            "snippet": self.snippet,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Violation":
-        """Inverse of :meth:`to_dict` (tolerates missing new fields)."""
-        return cls(
-            rule=payload["rule"],
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            message=payload["message"],
-            severity=payload.get("severity", "error"),
-            snippet=payload.get("snippet", ""),
-        )
+        return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
 
 
 @dataclass
@@ -91,25 +44,15 @@ class FileContext:
     path: PurePosixPath
     source: str
     tree: object  # ast.Module
-    lines: list[str] = field(default_factory=list)
-
-    def line_text(self, lineno: int) -> str:
-        """The stripped source text of one 1-indexed line ('' out of range)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def violation(self, rule: "Rule", node, message: str) -> Violation:
         """Build a :class:`Violation` anchored at an AST node."""
-        line = getattr(node, "lineno", 1)
         return Violation(
             rule=rule.name,
             path=str(self.path),
-            line=line,
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
-            severity=rule.severity,
-            snippet=self.line_text(line),
         )
 
 
@@ -118,7 +61,6 @@ class Rule:
 
     name: str = "abstract-rule"
     description: str = ""
-    severity: str = "error"
 
     def applies_to(self, path: PurePosixPath) -> bool:
         """Whether this rule should run on ``path`` (default: every file)."""
@@ -129,50 +71,15 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule:
-    """A single named check run once over the whole analysed project."""
-
-    name: str = "abstract-project-rule"
-    description: str = ""
-    severity: str = "error"
-
-    def check_project(self, project) -> Iterable[Violation]:
-        """Yield violations found in a ``ProjectContext``."""
-        raise NotImplementedError
-
-    def violation(self, project, module, node, message: str) -> Violation:
-        """Build a :class:`Violation` anchored at a node of one module."""
-        line = getattr(node, "lineno", 1)
-        return Violation(
-            rule=self.name,
-            path=str(module.path),
-            line=line,
-            col=getattr(node, "col_offset", 0) + 1,
-            message=message,
-            severity=self.severity,
-            snippet=module.line_text(line),
-        )
-
-
 _REGISTRY: dict[str, Rule] = {}
-_PROJECT_REGISTRY: dict[str, ProjectRule] = {}
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a file rule (by its ``name``) to the registry."""
+    """Class decorator adding a rule (by its ``name``) to the registry."""
     instance = cls()
-    if instance.name in _REGISTRY or instance.name in _PROJECT_REGISTRY:
+    if instance.name in _REGISTRY:
         raise ValueError(f"duplicate rule name {instance.name!r}")
     _REGISTRY[instance.name] = instance
-    return cls
-
-
-def register_project(cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    """Class decorator adding a project rule to the project registry."""
-    instance = cls()
-    if instance.name in _REGISTRY or instance.name in _PROJECT_REGISTRY:
-        raise ValueError(f"duplicate rule name {instance.name!r}")
-    _PROJECT_REGISTRY[instance.name] = instance
     return cls
 
 
@@ -181,23 +88,15 @@ def _load_rules() -> None:
 
 
 def all_rules() -> Iterator[Rule]:
-    """All registered file rules, sorted by name for stable output."""
+    """All registered rules, sorted by name for stable output."""
     _load_rules()
     return iter(sorted(_REGISTRY.values(), key=lambda r: r.name))
 
 
-def all_project_rules() -> Iterator[ProjectRule]:
-    """All registered project rules, sorted by name for stable output."""
-    _load_rules()
-    return iter(sorted(_PROJECT_REGISTRY.values(), key=lambda r: r.name))
-
-
-def get_rule(name: str) -> Rule | ProjectRule:
+def get_rule(name: str) -> Rule:
     """Look up one rule by name (raises ``KeyError`` for unknown names)."""
     _load_rules()
-    if name in _REGISTRY:
-        return _REGISTRY[name]
-    return _PROJECT_REGISTRY[name]
+    return _REGISTRY[name]
 
 
 # Pseudo-rules the engine emits itself; valid targets for suppression.
@@ -205,6 +104,6 @@ _PSEUDO_RULES = frozenset({"syntax-error", "bad-suppression"})
 
 
 def known_rule_names() -> frozenset[str]:
-    """Every addressable rule name: file rules, project rules, pseudo-rules."""
+    """Every addressable rule name: registered rules plus pseudo-rules."""
     _load_rules()
-    return frozenset(_REGISTRY) | frozenset(_PROJECT_REGISTRY) | _PSEUDO_RULES
+    return frozenset(_REGISTRY) | _PSEUDO_RULES

@@ -60,36 +60,6 @@ CASES = [
         FIXTURES / "print_call_clean.py",
     ),
     (
-        "manifold-double-map",
-        FIXTURES / "manifolds" / "manifold_double_map_bad.py",
-        2,
-        FIXTURES / "manifolds" / "manifold_double_map_clean.py",
-    ),
-    (
-        "mixed-manifold-op",
-        FIXTURES / "manifolds" / "mixed_manifold_op_bad.py",
-        1,
-        FIXTURES / "manifolds" / "mixed_manifold_op_clean.py",
-    ),
-    (
-        "redundant-clamp",
-        FIXTURES / "manifolds" / "redundant_clamp_bad.py",
-        2,
-        FIXTURES / "manifolds" / "redundant_clamp_clean.py",
-    ),
-    (
-        "ndarray-row-loop",
-        FIXTURES / "eval" / "ndarray_row_loop_bad.py",
-        3,
-        FIXTURES / "eval" / "ndarray_row_loop_clean.py",
-    ),
-    (
-        "loop-invariant-rebuild",
-        FIXTURES / "eval" / "loop_invariant_rebuild_bad.py",
-        1,
-        FIXTURES / "eval" / "loop_invariant_rebuild_clean.py",
-    ),
-    (
         "bad-suppression",
         FIXTURES / "bad_suppression_bad.py",
         2,
@@ -148,39 +118,6 @@ def test_negative_literal_keyword_is_not_risky():
 def test_isotropic_init_scaling_is_not_a_norm_division():
     source = "import numpy as np\n\ndef f(scale, dim):\n    return scale / np.sqrt(dim)\n"
     assert analyze_source(source, "src/repro/models/demo.py") == []
-
-
-def test_perf_rules_are_warn_severity():
-    violations = analyze_file(FIXTURES / "eval" / "ndarray_row_loop_bad.py")
-    assert violations and all(v.severity == "warn" for v in violations)
-
-
-def test_perf_rules_do_not_apply_outside_hot_paths():
-    source = (
-        "import numpy as np\n"
-        "\n"
-        "def f(n):\n"
-        "    scores = np.zeros((n, 4))\n"
-        "    total = 0.0\n"
-        "    for row in scores:\n"
-        "        total += row[0]\n"
-        "    return total\n"
-    )
-    assert analyze_source(source, "src/repro/data/loader.py") == []
-
-
-def test_manifold_rules_do_not_apply_outside_manifold_scope():
-    source = (
-        "def f(ball, v):\n"
-        "    p = ball.expmap0(v)\n"
-        "    return ball.expmap0(p)\n"
-    )
-    assert analyze_source(source, "src/repro/utils/demo.py") == []
-
-
-def test_reference_functions_are_exempt_from_perf_rules():
-    violations = analyze_file(FIXTURES / "eval" / "ndarray_row_loop_clean.py")
-    assert violations == [], "\n".join(v.format() for v in violations)
 
 
 def test_reassigned_norm_with_floor_is_guarded():
