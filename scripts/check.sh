@@ -25,21 +25,6 @@ fi
 echo "== bench smoke =="
 python -m repro.bench --quick --out benchmarks/results/BENCH_smoke.json
 
-echo "== retrieval bench smoke (candidate indexes vs exact, recall-gated) =="
-python -m repro.bench --cases retrieval --quick --out benchmarks/results/BENCH_retrieval_smoke.json
-python - <<'PY'
-import json
-
-payload = json.load(open("benchmarks/results/BENCH_retrieval_smoke.json"))
-floors = []
-for bench in payload["benchmarks"]:
-    recall = bench["workload"]["recall"]
-    floors.append((bench["name"], min(recall.values())))
-    assert min(recall.values()) >= 0.5, (bench["name"], recall)
-worst = min(floors, key=lambda pair: pair[1])
-print(f"retrieval smoke ok ({len(floors)} case(s); worst recall {worst[1]:.3f} in {worst[0]})")
-PY
-
 echo "== stream bench smoke (fold-in vs retrain staleness race) =="
 python -m repro.bench --cases stream --quick --out benchmarks/results/BENCH_stream_smoke.json
 python - <<'PY'

@@ -15,7 +15,6 @@ from pathlib import Path
 from ..utils import render_table
 from .harness import run_cases, write_result
 from .hotpaths import hotpath_cases
-from .retrieval import retrieval_cases
 from .stream import stream_cases
 
 __all__ = ["main", "build_parser", "CASE_SETS"]
@@ -24,7 +23,6 @@ __all__ = ["main", "build_parser", "CASE_SETS"]
 # stem), so --cases stream writes BENCH_stream.json.
 CASE_SETS = {
     "hotpaths": hotpath_cases,
-    "retrieval": retrieval_cases,
     "stream": stream_cases,
 }
 

@@ -25,8 +25,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..retrieval import get_retrieval
-
 __all__ = [
     "BenchCase",
     "SCHEMA",
@@ -133,7 +131,6 @@ def environment() -> dict:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "git_sha": git_sha(),
-        "retrieval": get_retrieval(),
     }
 
 

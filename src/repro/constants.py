@@ -28,7 +28,6 @@ __all__ = [
     "LOG_EPS",
     "DIV_EPS",
     "MULT_UPDATE_EPS",
-    "RETRIEVAL_BOUND_SLACK",
 ]
 
 # Generic conformal-factor guard: floors 1 - ||x||^2 before sqrt/division in
@@ -61,14 +60,6 @@ DIV_EPS = 1e-12
 # DIV_EPS on purpose — the update ratio is taken verbatim, so an extreme
 # floor would amplify noise in empty rows instead of damping it.
 MULT_UPDATE_EPS = 1e-9
-
-# Relative slack on the Cauchy–Schwarz per-bucket score upper bound used by
-# the norm-bucketed retrieval index (repro.retrieval.indexes.BucketedIndex):
-# bound = ||q||·max||x|| · (1 + SLACK) + max bias.  A float64 dot product of
-# dimension d carries at most ~d·2^-52 relative rounding error, so 1e-9
-# keeps the bound provably above every computed q·x + b for any realistic
-# embedding width while loosening pruning by less than one part per billion.
-RETRIEVAL_BOUND_SLACK = 1e-9
 
 # Ridge regulariser for the streaming fold-in least-squares solves
 # (repro.stream.foldin): large enough to keep the normal equations

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..data import InteractionDataset, Split
 from .metrics import (
+    mask_seen,
     ndcg_at_k,
     ndcg_at_k_reference,
     rank_topk,
@@ -91,11 +92,7 @@ def _ranked_topk(model, mask, users: np.ndarray, k: int, batch_users: int) -> np
     for start in range(0, len(users), batch_users):
         batch = users[start : start + batch_users]
         scores = np.asarray(model.score_users(batch), dtype=np.float64)
-        # Flat (row, col) coordinates of every masked entry in the batch,
-        # straight from the CSR row slices — no per-user Python loop.
-        sub = mask[batch]
-        rows = np.repeat(np.arange(len(batch)), np.diff(sub.indptr))
-        scores[rows, sub.indices] = -np.inf
+        mask_seen(scores, mask.indptr, mask.indices, batch)
         all_topk[start : start + len(batch)] = rank_topk(scores, k)
     return all_topk
 

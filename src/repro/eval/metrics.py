@@ -11,9 +11,12 @@ id is an explicit, documented tiebreak.  The default ``np.argsort`` (an
 unstable introsort) and ``np.argpartition`` leave the relative order of
 equal scores platform- and layout-dependent, which silently changes
 Recall/NDCG whenever a model emits tied scores (popularity scorers,
-quantised checkpoints, masked ``-inf`` blocks).  Every function here has a
-pure-Python ``*_reference`` twin implementing the same contract; the
-differential test suite pins the vectorised paths to those twins.
+quantised checkpoints, masked ``-inf`` blocks).  Every ranking and metric
+function here has a pure-Python ``*_reference`` twin implementing the same
+contract; the differential test suite pins the vectorised paths to those
+twins.  :func:`mask_seen` is the one seen-item mask shared by the
+evaluator, the server and the staleness harness; its twin is the per-item
+loop in :func:`repro.eval.evaluate_reference`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "ndcg_at_k",
     "rank_topk",
     "rank_topk_reference",
+    "mask_seen",
     "recall_at_k_reference",
     "ndcg_at_k_reference",
 ]
@@ -81,6 +85,26 @@ def rank_topk_reference(scores: np.ndarray, k: int) -> np.ndarray:
         order = sorted(range(n), key=lambda j: (-row[j], j))
         out[i] = order[:k]
     return out
+
+
+def mask_seen(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray, users) -> None:
+    """Set every seen item of every row of ``scores`` to ``-inf``, in place.
+
+    Row ``r`` of ``scores`` belongs to user ``users[r]``, whose seen items
+    are the CSR row ``indices[indptr[u]:indptr[u + 1]]``.  The row slices
+    are gathered into flat ``(row, col)`` coordinates and masked in one
+    fancy assignment, so a masked entry can only reach a :func:`rank_topk`
+    list once a row's unseen items run out.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    starts, stops = indptr[users], indptr[users + 1]
+    rows = np.repeat(np.arange(len(users)), stops - starts)
+    cols = (
+        np.concatenate([indices[a:b] for a, b in zip(starts, stops)])
+        if len(rows)
+        else np.zeros(0, dtype=np.int64)
+    )
+    scores[rows, cols] = -np.inf
 
 
 def _positives_csr(positives: list[np.ndarray], n_items: int) -> sparse.csr_matrix:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Split
-from .evaluator import held_out_positives
-from .metrics import ndcg_at_k, rank_topk, recall_at_k
+from .evaluator import held_out_positives, topk_ranking
+from .metrics import ndcg_at_k, recall_at_k
 
 __all__ = [
     "metrics_at",
@@ -27,29 +27,10 @@ __all__ = [
 ]
 
 
-def _masked_topk(model, split: Split, k: int, batch_users: int = 512):
-    """Top-k per test user with train+valid items masked; returns (users, topk)."""
-    positives = held_out_positives(split.test)
-    train_sets = split.train.items_of_user()
-    valid_sets = split.valid.items_of_user()
-    mask_sets = [np.concatenate([a, b]) for a, b in zip(train_sets, valid_sets)]
-    users = np.array(
-        [u for u in range(split.test.n_users) if len(positives[u])], dtype=np.int64
-    )
-    k = min(k, split.train.n_items)
-    topk = np.zeros((len(users), k), dtype=np.int64)
-    for start in range(0, len(users), batch_users):
-        batch = users[start : start + batch_users]
-        scores = np.asarray(model.score_users(batch), dtype=np.float64)
-        for i, u in enumerate(batch):
-            scores[i, mask_sets[u]] = -np.inf
-        topk[start : start + len(batch)] = rank_topk(scores, k)
-    return users, topk, positives
-
-
 def metrics_at(model, split: Split, ks: tuple[int, ...] = (1, 5, 10, 20, 50)) -> dict[int, dict[str, float]]:
     """Recall@K and NDCG@K for several cutoffs in one ranking pass."""
-    users, topk, positives = _masked_topk(model, split, max(ks))
+    users, topk = topk_ranking(model, split, on="test", k=max(ks))
+    positives = held_out_positives(split.test)
     pos = [positives[u] for u in users]
     return {
         k: {
@@ -82,7 +63,8 @@ def evaluate_by_item_coldness(
         decompose where each model's hits come from.
     """
     train_counts = np.bincount(split.train.item_ids, minlength=split.train.n_items)
-    users, topk, positives = _masked_topk(model, split, k)
+    users, topk = topk_ranking(model, split, on="test", k=k)
+    positives = held_out_positives(split.test)
 
     edges = (0,) + tuple(boundaries) + (np.inf,)
     names = []
@@ -107,7 +89,7 @@ def evaluate_by_item_coldness(
 
 def catalog_coverage(model, split: Split, k: int = 10) -> float:
     """Fraction of the catalogue appearing in at least one user's top-k."""
-    _, topk, _ = _masked_topk(model, split, k)
+    _, topk = topk_ranking(model, split, on="test", k=k)
     return len(np.unique(topk)) / split.train.n_items
 
 
@@ -121,5 +103,5 @@ def mean_popularity_rank(model, split: Split, k: int = 10) -> float:
     order = np.argsort(-counts)
     percentile = np.empty(split.train.n_items)
     percentile[order] = 1.0 - np.arange(split.train.n_items) / max(split.train.n_items - 1, 1)
-    _, topk, _ = _masked_topk(model, split, k)
+    _, topk = topk_ranking(model, split, on="test", k=k)
     return float(percentile[topk].mean())

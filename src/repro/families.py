@@ -9,52 +9,41 @@ only place the id is given meaning, and every layer dispatches through it:
 * **serving** — :class:`repro.serve.scoring.FrozenScorer` runs the same
   ``score`` on the exported copy, artifact validation reads the declared
   arrays and ``meta["manifold"]`` is the family's ``space``;
-* **retrieval** — :meth:`ScoreFamily.reduce` is the inner-product form
-  the candidate indexes select on (:mod:`repro.retrieval`);
 * **streaming** — :meth:`ScoreFamily.fold_user` / ``fold_item`` /
   ``origin_rows`` solve new rows against frozen ones (:mod:`repro.stream`).
 
 Live and served scores are therefore the same call on the same arrays,
 so serve ↔ offline parity holds by construction.
 
-| id | user arrays | item arrays | scalars | space | reducible | foldable | models |
-|----|-------------|-------------|---------|-------|-----------|----------|--------|
-| ``dot`` | user | item | — | euclidean | yes | ridge | NMF, LightGCN, NGCF, AGCN |
-| ``dot_bias`` | user | item, item_bias | — | euclidean | yes | ridge | BPRMF |
-| ``dot_aspect`` | user, user_aspect | item, item_aspect | aspect_weight | euclidean | yes | ridge | AMF |
-| ``neg_sq_euclid`` | user | item | — | euclidean | yes | mean | CML, CMLF, SML |
-| ``neg_sq_lorentz`` | user | item | — | lorentz, c = -1 | yes | tangent mean | HGCF, HyperML (Hyper+CML) |
-| ``two_channel_lorentz`` | user_ir, user_tg, alpha | item_ir, item_tg | — | lorentz, c = -1 | no | tangent mean | TaxoRec, Hyper+CML+Agg |
-| ``two_channel_euclid`` | user_ir, user_tg, alpha | item_ir, item_tg | — | euclidean | yes | mean | CML+Agg |
-| ``dense`` | scores (the matrix) | | — | none | no | no | NeuMF, TransCF, LRML, ItemKNN, Popularity, Random |
+| id | user arrays | item arrays | scalars | space | foldable | models |
+|----|-------------|-------------|---------|-------|----------|--------|
+| ``dot`` | user | item | — | euclidean | ridge | NMF, LightGCN, NGCF, AGCN |
+| ``dot_bias`` | user | item, item_bias | — | euclidean | ridge | BPRMF |
+| ``dot_aspect`` | user, user_aspect | item, item_aspect | aspect_weight | euclidean | ridge | AMF |
+| ``neg_sq_euclid`` | user | item | — | euclidean | mean | CML, CMLF, SML |
+| ``neg_sq_lorentz`` | user | item | — | lorentz, c = -1 | tangent mean | HGCF, HyperML (Hyper+CML) |
+| ``two_channel_lorentz`` | user_ir, user_tg, alpha | item_ir, item_tg | — | lorentz, c = -1 | tangent mean | TaxoRec, Hyper+CML+Agg |
+| ``two_channel_euclid`` | user_ir, user_tg, alpha | item_ir, item_tg | — | euclidean | mean | CML+Agg |
+| ``dense`` | scores (the matrix) | | — | none | no | NeuMF, TransCF, LRML, ItemKNN, Popularity, Random |
 
 Paired user/item arrays (``user``/``item``, ``user_aspect``/``item_aspect``,
 ``user_ir``/``item_ir``, ``user_tg``/``item_tg``) meet in one product or
 distance, so :meth:`ScoreFamily.check` requires equal widths; ``alpha``
 and ``item_bias`` are 1-d, ``aspect_weight`` is 0-d.
 
-**Reduction** (the ASOS result of "Scalable Hyperbolic Recommender
-Systems", PAPERS.md).  A reducible family factors as
-``exact(u, i) = finish(q(u)·x(i) + b(i)) + offset(u)`` with item-side
-``x``/``b`` precomputed once and ``finish`` monotone, so ranking by the
-cheap linear form is ranking by the exact score.  The per-id forms and
-their derivations are tabled in ``docs/RETRIEVAL.md``.
-
-**Fold-in** (same paper's between-retrains deployment).  Distance
-families solve a new row as the mean of its evidence rows — in the
-tangent space at the origin on the hyperboloid; inner-product families
-solve the ridge system ``(VᵀV + λI) u = Vᵀt`` against target score 1.
-An existing row is a prior weighted by its baseline interaction count.
+**Fold-in** (the between-retrains deployment of "Scalable Hyperbolic
+Recommender Systems", PAPERS.md).  Distance families solve a new row as
+the mean of its evidence rows — in the tangent space at the origin on
+the hyperboloid; inner-product families solve the ridge system
+``(VᵀV + λI) u = Vᵀt`` against target score 1.  An existing row is a
+prior weighted by its baseline interaction count.
 
 The distance chains and tangent maps come from :mod:`repro.kernels`.
 This module imports only numpy and :mod:`repro.kernels`, so the models
-can use it without pulling in serving, retrieval or streaming.
+can use it without pulling in serving or streaming.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -63,27 +52,11 @@ from . import kernels
 __all__ = [
     "FAMILIES",
     "ScoreFamily",
-    "Reduction",
-    "ReductionUnsupported",
     "FoldInUnsupported",
 ]
 
 _LORENTZ = {"space": "lorentz", "curvature": -1.0}
 _EUCLIDEAN = {"space": "euclidean"}
-
-
-class ReductionUnsupported(Exception):
-    """The score-fn has no inner-product-plus-bias form.
-
-    Carries the score-fn id and a human-readable reason; candidate
-    indexes catch this and fall back to exact scoring (recording the
-    fallback in their provenance) instead of guessing.
-    """
-
-    def __init__(self, score_fn: str, reason: str):
-        self.score_fn = score_fn
-        self.reason = reason
-        super().__init__(f"score_fn {score_fn!r} has no reduced form: {reason}")
 
 
 class FoldInUnsupported(Exception):
@@ -99,92 +72,9 @@ class FoldInUnsupported(Exception):
         super().__init__(f"score_fn {score_fn!r} cannot be folded into: {reason}")
 
 
-@dataclass
-class Reduction:
-    """One score-fn factored as ``finish(q·x + b) + offset``.
-
-    ``item_vectors`` (``(n_items, d')`` float64, C-contiguous) and
-    ``item_bias`` (``(n_items,)``) are the precomputed item side; they
-    are immutable once built and safe to share across threads.
-    """
-
-    score_fn: str
-    item_vectors: np.ndarray
-    item_bias: np.ndarray
-    _query: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    _finish: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    monotone: str = "strict"
-
-    @property
-    def n_items(self) -> int:
-        return int(self.item_vectors.shape[0])
-
-    @property
-    def reduced_dim(self) -> int:
-        return int(self.item_vectors.shape[1])
-
-    def query(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(Q, offsets)``: reduced query rows + per-user score offsets.
-
-        ``Q`` is ``(len(users), d')``; ``offsets`` is ``(len(users),)``
-        and is added *after* ``finish`` to recover exact score values.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        return self._query(users)
-
-    def reduced_scores(
-        self, queries: np.ndarray, lo: int = 0, hi: int | None = None
-    ) -> np.ndarray:
-        """``(m, hi-lo)`` reduced scores of query rows against an item slice.
-
-        Single-row queries are padded to a two-row batch for the same
-        reason :meth:`ScoreFamily.score` pads: index queries must rank by
-        the same GEMM bits as batched exact scoring.
-        """
-        hi = self.n_items if hi is None else hi
-        block = self.item_vectors[lo:hi]
-        if queries.shape[0] == 1:
-            out = np.matmul(np.repeat(queries, 2, axis=0), block.T)[:1]
-        else:
-            out = np.matmul(queries, block.T)
-        return out + self.item_bias[lo:hi][None, :]
-
-    def finish(self, reduced: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Map reduced scores to exact score values (monotone + offset)."""
-        out = self._finish(np.asarray(reduced, dtype=np.float64))
-        return out + np.asarray(offsets, dtype=np.float64)[..., None]
-
-
 # ----------------------------------------------------------------------
 # Shared numerics
 # ----------------------------------------------------------------------
-def _as_f64(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-
-
-def _row_sq_norms(x: np.ndarray) -> np.ndarray:
-    return (x * x).sum(axis=1)
-
-
-def _identity(reduced: np.ndarray) -> np.ndarray:
-    return reduced
-
-
-def _no_offsets(users: np.ndarray) -> np.ndarray:
-    return np.zeros(len(users), dtype=np.float64)
-
-
-def _finish_neg_sq_lorentz(reduced: np.ndarray) -> np.ndarray:
-    # reduced = ⟨u, v⟩_L = spatial - time; the score kernel computes
-    # d = arccosh(max(time - spatial, 1)) and returns -d².  Strictly
-    # decreasing in -reduced ⇒ strictly increasing in reduced wherever
-    # the clamp is inactive; on the hyperboloid -⟨u,v⟩_L = cosh(d) >= 1
-    # with equality only at u == v, so the flat clamped region is a
-    # single point per query.
-    d = np.arccosh(np.maximum(-reduced, 1.0))
-    return -(d * d)
-
-
 def _prior_row(prior: dict | None, name: str) -> np.ndarray | None:
     return None if prior is None else np.asarray(prior[name], dtype=np.float64)
 
@@ -229,8 +119,7 @@ class ScoreFamily:
     that meet in the score (equal widths); ``user_vectors`` /
     ``item_vectors`` are 1-d per-user / per-item arrays; ``scalars`` are
     0-d.  ``space`` is the artifact's ``meta["manifold"]``.  A family
-    without a reduced form or a fold-in records why in ``no_reduce`` /
-    ``no_fold``.
+    without a fold-in records why in ``no_fold``.
     """
 
     id = ""
@@ -239,7 +128,6 @@ class ScoreFamily:
     user_vectors: tuple[str, ...] = ()
     item_vectors: tuple[str, ...] = ()
     scalars: tuple[str, ...] = ()
-    no_reduce: str | None = None
     no_fold: str | None = None
 
     @property
@@ -310,7 +198,7 @@ class ScoreFamily:
         GEMV kernel for one-row batches whose reduction order differs from
         GEMM in the last bits, so single-user calls are padded to a
         two-row batch (duplicate row, first row kept) and every scoring
-        path — live model, per-request, micro-batched, index build,
+        path — live model, per-request, micro-batched, top-K index build,
         offline evaluator — runs the same GEMM kernel.
         """
         users = np.asarray(users, dtype=np.int64)
@@ -322,10 +210,6 @@ class ScoreFamily:
         raise NotImplementedError
 
     # -- optional capabilities ------------------------------------------
-    def reduce(self, arrays: dict) -> Reduction:
-        """The family's inner-product form over one payload."""
-        raise ReductionUnsupported(self.id, self.no_reduce)
-
     def fold_user(self, arrays: dict, item_ids: np.ndarray, prior: dict | None, prior_weight: float, ridge: float) -> dict:
         """One user's rows solved from (non-empty) evidence items.
 
@@ -380,17 +264,6 @@ class _InnerProduct(ScoreFamily):
         for (user, item), scalar in zip(aspect, self.scalars):
             out = out + float(arrays[scalar]) * np.matmul(arrays[user][users], arrays[item].T)
         return out
-
-    def reduce(self, arrays):
-        items = [_as_f64(arrays[item]) for _, item in self.pairs]
-        x = items[0] if len(items) == 1 else np.ascontiguousarray(np.concatenate(items, axis=1))
-        bias = _as_f64(arrays[self.item_vectors[0]]) if self.item_vectors else np.zeros(x.shape[0])
-        user_names = [user for user, _ in self.pairs]
-
-        def query(users):
-            return self._weighted(arrays, user_names, users), _no_offsets(users)
-
-        return Reduction(self.id, x, bias, query, _identity)
 
     def _split(self, solution: np.ndarray, arrays: dict, names) -> dict:
         out, start = {}, 0
@@ -466,16 +339,6 @@ class _NegSqEuclid(_Distance):
     def _score(self, arrays, users):
         return -kernels.sq_dist_euclid_gram(arrays["user"][users], arrays["item"])
 
-    def reduce(self, arrays):
-        item = _as_f64(arrays["item"])
-        user = arrays["user"]
-
-        def query(users):
-            u = np.asarray(user[users], dtype=np.float64)
-            return 2.0 * u, -_row_sq_norms(u)
-
-        return Reduction(self.id, item, -_row_sq_norms(item), query, _identity)
-
 
 class _NegSqLorentz(_Distance):
     id = "neg_sq_lorentz"
@@ -483,20 +346,6 @@ class _NegSqLorentz(_Distance):
 
     def _score(self, arrays, users):
         return -kernels.sq_dist_lorentz(arrays["user"][users], arrays["item"])
-
-    def reduce(self, arrays):
-        item = _as_f64(arrays["item"])
-        user = arrays["user"]
-
-        def query(users):
-            q = np.asarray(user[users], dtype=np.float64).copy()
-            q[:, 0] = -q[:, 0]  # fold -u₀v₀ into the matmul: q·v = ⟨u, v⟩_L
-            return q, _no_offsets(users)
-
-        return Reduction(
-            self.id, item, np.zeros(item.shape[0]), query, _finish_neg_sq_lorentz,
-            monotone="strict-below-clamp",
-        )
 
 
 class _TwoChannel(_Distance):
@@ -534,11 +383,6 @@ class _TwoChannel(_Distance):
 class _TwoChannelLorentz(_TwoChannel):
     id = "two_channel_lorentz"
     space = _LORENTZ
-    no_reduce = (
-        "two coupled arccosh chains mixed by a per-user alpha; the sum of "
-        "two monotone maps of two different inner products is not itself a "
-        "monotone map of any single inner product"
-    )
 
     def _sq_dist(self, u, v):
         return kernels.sq_dist_lorentz(u, v)
@@ -550,27 +394,6 @@ class _TwoChannelEuclid(_TwoChannel):
     def _sq_dist(self, u, v):
         return kernels.sq_dist_euclid_broadcast(u, v)
 
-    def reduce(self, arrays):
-        item_ir = _as_f64(arrays["item_ir"])
-        item_tg = _as_f64(arrays["item_tg"])
-        item = np.concatenate(
-            [item_ir, item_tg, _row_sq_norms(item_ir)[:, None], _row_sq_norms(item_tg)[:, None]],
-            axis=1,
-        )
-        user_ir, user_tg, alpha = arrays["user_ir"], arrays["user_tg"], arrays["alpha"]
-
-        def query(users):
-            u_ir = np.asarray(user_ir[users], dtype=np.float64)
-            u_tg = np.asarray(user_tg[users], dtype=np.float64)
-            a = np.asarray(alpha[users], dtype=np.float64)
-            q = np.concatenate(
-                [2.0 * u_ir, 2.0 * a[:, None] * u_tg, -np.ones((len(users), 1)), -a[:, None]],
-                axis=1,
-            )
-            return q, -(_row_sq_norms(u_ir) + a * _row_sq_norms(u_tg))
-
-        return Reduction(self.id, np.ascontiguousarray(item), np.zeros(item.shape[0]), query, _identity)
-
 
 # ----------------------------------------------------------------------
 # Dense fallback: the exported artifact *is* the score matrix
@@ -579,7 +402,6 @@ class _Dense(ScoreFamily):
     id = "dense"
     space = {"space": "none"}
     pairs = ()
-    no_reduce = "the artifact is the score matrix; there is no factored form"
     no_fold = "no per-user embedding (the artifact is a dense score matrix)"
 
     @property

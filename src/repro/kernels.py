@@ -12,8 +12,8 @@ short pipeline instead of a parade of full-size temporaries:
 
 * **One-GEMM Lorentz fold** — :func:`sq_dist_lorentz` computes
   ``<u, v>_L`` as one matrix product of ``u`` with its time column
-  negated (the same inner-product form the retrieval reduction uses),
-  then clamps, takes ``arccosh`` and squares in the GEMM's output buffer.
+  negated, then clamps, takes ``arccosh`` and squares in the GEMM's
+  output buffer.
 * **Cache-sized row blocks** — the pairwise kernels walk their output in
   row blocks of ~1 MiB, so a block stays in cache across the whole chain
   and the broadcast kernel's ``(block, n, d)`` difference temporary stays

@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from ..families import FAMILIES
-from ..retrieval import get_retrieval
 from .errors import ArtifactError, SchemaMismatchError, UnknownScoreFnError
 from .scoring import FrozenScorer, check_payload, frozen_counts
 
@@ -70,7 +69,6 @@ def _environment() -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "retrieval": get_retrieval(),
     }
 
 

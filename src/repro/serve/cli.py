@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 
-from ..retrieval import UnknownRetrievalError, activate_retrieval, available_retrieval
 from .artifact import export_from_checkpoint, load_artifact
 from .errors import ServeError
 from .http import create_server, serve_until_drained
@@ -85,26 +84,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hot-swap-poll", type=float, default=0.0, metavar="SECS",
                         help="poll the artifact path every SECS seconds and hot-swap "
                         "when its target changes (0 disables; workers only)")
-    parser.add_argument("--retrieval", default=None, metavar="KIND",
-                        help=f"candidate index {available_retrieval()} "
-                        "(default: $REPRO_RETRIEVAL or 'exact'; exported to "
-                        "forked shard workers)")
     parser.add_argument("--fold-in", default=None, metavar="EVENTS",
                         help="repro.events/v1 JSON file folded into the loaded "
                         "artifact before serving (repro.stream; single-process only)")
     return parser
-
-
-def _apply_retrieval(name: str | None) -> int:
-    """Activate a ``--retrieval`` flag; returns the exit code (0 = ok)."""
-    if name is None:
-        return 0
-    try:
-        activate_retrieval(name)
-    except UnknownRetrievalError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return 0
 
 
 def export_main(argv: list[str]) -> int:
@@ -227,8 +210,6 @@ def _serve_pool(args) -> int:
 def serve_main(argv: list[str]) -> int:
     """Entry point for the ``serve`` subcommand."""
     args = build_serve_parser().parse_args(argv)
-    if _apply_retrieval(args.retrieval):
-        return 2
     if args.workers < 0:
         print("--workers must be >= 0", file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ grace period.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import sys
 import threading
@@ -108,21 +107,12 @@ def _worker_main(
     cache_size: int,
     index_k: int,
     hot_swap_poll_s: float,
-    retrieval: str | None,
-    retrieval_params: dict | None,
 ) -> None:
     """Worker process body: build the shard-scoped service, serve, report."""
-    from ..retrieval import ENV_VAR as RETRIEVAL_ENV_VAR
-    from ..retrieval import set_retrieval
     from .http import create_server
     from .router import ShardedService
 
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    # Resolve the retrieval kind explicitly rather than trusting
-    # fork-inherited module state: an explicit argument wins, otherwise
-    # REPRO_RETRIEVAL (exported by activate_retrieval in the parent)
-    # decides, on both fork and spawn start methods.
-    set_retrieval(retrieval or os.environ.get(RETRIEVAL_ENV_VAR, "exact"))
     watcher = None
     server = None
     service = None
@@ -134,7 +124,6 @@ def _worker_main(
             cache_size=cache_size,
             index_k=index_k,
             micro_batch=micro_batch,
-            retrieval_params=retrieval_params,
         )
         server = create_server(service, host=host, port=0)
         if hot_swap_poll_s > 0:
@@ -187,8 +176,6 @@ class WorkerPool:
         cache_size: int = 1024,
         index_k: int = 0,
         hot_swap_poll_s: float = 0.0,
-        retrieval: str | None = None,
-        retrieval_params: dict | None = None,
     ):
         self.artifact_path = str(artifact_path)
         n_shards = int(n_shards if n_shards is not None else n_workers)
@@ -216,8 +203,6 @@ class WorkerPool:
                         int(cache_size),
                         int(index_k),
                         float(hot_swap_poll_s),
-                        retrieval,
-                        dict(retrieval_params) if retrieval_params else None,
                     ),
                     name=f"repro-serve-worker-{worker}",
                     daemon=True,

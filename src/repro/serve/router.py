@@ -32,7 +32,7 @@ from ..utils import get_logger
 from .batching import MicroBatcher
 from .errors import BadRequestError, ServeError
 from .http import JSONHTTPServer, JSONRequestHandler, _parse_int
-from .service import RecommenderService
+from .service import RecommenderService, _as_id
 from .sharding import ShardMap, shard_for_user
 
 __all__ = ["ShardedService", "RouterHTTPServer", "create_router"]
@@ -70,8 +70,6 @@ class ShardedService:
         index_k: int = 0,
         micro_batch: int = 0,
         shards: tuple[int, ...] | None = None,
-        retrieval: str | None = None,
-        retrieval_params: dict | None = None,
     ):
         if n_shards < 1:
             raise BadRequestError(f"n_shards must be positive, got {n_shards}")
@@ -92,8 +90,6 @@ class ShardedService:
                 cache_size=cache_size,
                 index_k=index_k,
                 shard=(s, self.n_shards),
-                retrieval=retrieval,
-                retrieval_params=retrieval_params,
             )
             for s in owned
         }
@@ -125,10 +121,7 @@ class ShardedService:
         return self._first.artifact_version
 
     def _shard_of(self, user) -> int:
-        try:
-            user = int(user)
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(f"user id must be an integer, got {user!r}") from exc
+        user = _as_id(user, "user id")
         shard = shard_for_user(user, self.n_shards)
         if shard not in self.services:
             from .errors import ShardRoutingError
@@ -212,7 +205,6 @@ class ShardedService:
             "n_shards": self.n_shards,
             "owned_shards": list(self.owned_shards),
             "artifact": first["artifact"],
-            "retrieval": first["retrieval"],
             "requests": totals,
             "shards": {str(s): stats for s, stats in shards.items()},
         }

@@ -43,27 +43,42 @@ from pathlib import Path
 
 import numpy as np
 
-from ..eval.metrics import rank_topk
-from ..retrieval import build_index as build_retrieval_index
-from ..retrieval import get_retrieval
+from ..eval.metrics import mask_seen, rank_topk
 from .artifact import ModelArtifact, load_artifact
 from .errors import BadRequestError, ShardRoutingError
 from .sharding import shard_for_user
 
 __all__ = ["RecommenderService"]
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _as_id(value, what: str) -> int:
+    """A user or item id as a Python int, or a :class:`BadRequestError`.
+
+    Only Python and numpy integers inside int64 pass.  Bools, floats
+    (even integral ones) and strings are refused rather than coerced, so
+    a JSON ``1.7`` or ``true`` is never served as id 1 and ``2**63`` is a
+    typed 400 instead of an ``OverflowError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadRequestError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if not _INT64.min <= value <= _INT64.max:
+        raise BadRequestError(f"{what} {value} is outside the int64 range")
+    return value
+
 
 class _Engine:
     """Immutable per-artifact snapshot: everything one request reads.
 
-    ``index`` and ``retrieval`` are the only slots assigned after
-    construction (both attach a build result to the snapshot it was
-    computed on); each assignment is atomic and readers take it once, so
-    a build racing a swap can at worst attach to an already-retired
-    snapshot.
+    ``index`` is the only slot assigned after construction (it attaches a
+    build result to the snapshot it was computed on); the assignment is
+    atomic and readers take it once, so a build racing a swap can at worst
+    attach to an already-retired snapshot.
     """
 
-    __slots__ = ("artifact", "scorer", "n_users", "n_items", "version", "index", "retrieval")
+    __slots__ = ("artifact", "scorer", "n_users", "n_items", "version", "index")
 
     def __init__(self, artifact: ModelArtifact, version: int):
         self.artifact = artifact
@@ -72,7 +87,6 @@ class _Engine:
         self.n_items = self.scorer.n_items
         self.version = version
         self.index: dict | None = None
-        self.retrieval = None  # CandidateIndex, attached by _build_retrieval
 
 
 class RecommenderService:
@@ -94,19 +108,6 @@ class RecommenderService:
         Optional ``(shard_id, n_shards)``: this instance serves only the
         users whose :func:`~repro.serve.sharding.shard_for_user` equals
         ``shard_id`` and rejects the rest with :class:`ShardRoutingError`.
-    retrieval:
-        Candidate-index kind from :func:`repro.retrieval.available_retrieval`
-        (``None`` resolves the process-wide :func:`repro.retrieval.get_retrieval`
-        selection, default ``"exact"``).  Non-exact kinds route ``recommend``
-        top-K through a :class:`~repro.retrieval.CandidateIndex` built per
-        artifact snapshot; ``"exact"`` keeps the batched full-scoring path
-        byte-for-byte as before.  The built index's provenance (kind, build
-        params, build-time recall) is surfaced by :meth:`stats`, and a hot
-        swap rebuilds the index on the incoming snapshot before the flip.
-    retrieval_params:
-        Build parameters forwarded to :func:`repro.retrieval.build_index`
-        (e.g. ``block_items``/``dtype`` for blockwise, ``n_buckets``/
-        ``max_scan`` for bucketed, ``recall_sample_users`` for all kinds).
     """
 
     def __init__(
@@ -115,8 +116,6 @@ class RecommenderService:
         cache_size: int = 1024,
         index_k: int = 0,
         shard: tuple[int, int] | None = None,
-        retrieval: str | None = None,
-        retrieval_params: dict | None = None,
     ):
         if not isinstance(artifact, ModelArtifact):
             artifact = load_artifact(Path(artifact))
@@ -128,12 +127,7 @@ class RecommenderService:
                 )
             shard = (shard_id, n_shards)
         self.shard = shard
-        self._retrieval_spec = (
-            retrieval if retrieval is not None else get_retrieval(),
-            dict(retrieval_params or {}),
-        )
         self._engine = _Engine(artifact, version=1)
-        self._build_retrieval(self._engine)
         self._lock = threading.Lock()
         self._cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._cache_capacity = max(int(cache_size), 0)
@@ -169,33 +163,11 @@ class RecommenderService:
         """Monotonic version of the served artifact (bumped by hot swaps)."""
         return self._engine.version
 
-    @property
-    def retrieval_kind(self) -> str:
-        """The candidate-index kind this service was configured with."""
-        return self._retrieval_spec[0]
-
-    @property
-    def retrieval_index(self):
-        """The live :class:`~repro.retrieval.CandidateIndex` snapshot."""
-        return self._engine.retrieval
-
-    def _build_retrieval(self, engine: _Engine) -> None:
-        """Build the configured candidate index on one engine snapshot.
-
-        Called before the snapshot is published (construction, hot swap,
-        invalidation), so requests never observe a half-built index.
-        """
-        kind, params = self._retrieval_spec
-        engine.retrieval = build_retrieval_index(engine.artifact, kind, **params)
-
     # ------------------------------------------------------------------
     # Validation helpers
     # ------------------------------------------------------------------
     def _check_user(self, user: int, engine: _Engine) -> int:
-        try:
-            user = int(user)
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(f"user id must be an integer, got {user!r}") from exc
+        user = _as_id(user, "user id")
         if not 0 <= user < engine.n_users:
             raise BadRequestError(
                 f"user id {user} out of range for a model with {engine.n_users} users"
@@ -211,12 +183,11 @@ class RecommenderService:
         return user
 
     def _check_items(self, items, engine: _Engine) -> np.ndarray:
-        try:
-            items = np.asarray(items, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(f"item ids must be integers, got {items!r}") from exc
-        if items.ndim != 1:
+        if isinstance(items, np.ndarray):
+            items = items.tolist()  # numpy scalars → Python ones, rows → lists
+        if not isinstance(items, (list, tuple)) or any(isinstance(i, (list, tuple)) for i in items):
             raise BadRequestError("items must be a flat list of item ids")
+        items = np.array([_as_id(item, "item id") for item in items], dtype=np.int64)
         if len(items) and (items.min() < 0 or items.max() >= engine.n_items):
             bad = items[(items < 0) | (items >= engine.n_items)][0]
             raise BadRequestError(
@@ -256,21 +227,12 @@ class RecommenderService:
     ) -> np.ndarray:
         """Batched float64 scores with seen items masked to ``-inf``.
 
-        Mirrors :func:`repro.eval.evaluator.evaluate`: same dtype, same
-        CSR row slicing, same ``-inf`` masking, so rankings agree exactly.
+        Mirrors :func:`repro.eval.evaluator.evaluate`: same dtype and the
+        same :func:`~repro.eval.metrics.mask_seen`, so rankings agree exactly.
         """
         scores = np.asarray(engine.scorer.score_users(users), dtype=np.float64)
         if exclude_seen:
-            indptr = engine.artifact.seen_indptr
-            indices = engine.artifact.seen_indices
-            starts, stops = indptr[users], indptr[users + 1]
-            rows = np.repeat(np.arange(len(users)), stops - starts)
-            cols = (
-                np.concatenate([indices[a:b] for a, b in zip(starts, stops)])
-                if len(rows)
-                else np.zeros(0, dtype=np.int64)
-            )
-            scores[rows, cols] = -np.inf
+            mask_seen(scores, engine.artifact.seen_indptr, engine.artifact.seen_indices, users)
         return scores
 
     def recommend(
@@ -329,15 +291,9 @@ class RecommenderService:
                     cached[user] = hit
         if missing:
             batch = np.asarray(missing, dtype=np.int64)
-            retr = engine.retrieval
-            if retr is not None and retr.kind != "exact":
-                # Bit-identical to the per-user path by construction
-                # (topk_batch is a per-user loop over index.topk).
-                top, values = retr.topk_batch(batch, k, exclude_seen)
-            else:
-                scores = self._masked_scores(engine, batch, exclude_seen)
-                top = rank_topk(scores, k)
-                values = np.take_along_axis(scores, top, axis=1)
+            scores = self._masked_scores(engine, batch, exclude_seen)
+            top = rank_topk(scores, k)
+            values = np.take_along_axis(scores, top, axis=1)
             with self._lock:
                 for row, user in enumerate(missing):
                     result = (top[row], values[row])
@@ -360,9 +316,6 @@ class RecommenderService:
             # A prefix of the index *is* the top-k: the ranking key is a
             # total order, so smaller k lists are prefixes of larger ones.
             return index["items"][user, :k], index["scores"][user, :k]
-        retr = engine.retrieval
-        if retr is not None and retr.kind != "exact":
-            return retr.topk(user, k, exclude_seen)
         users = np.asarray([user], dtype=np.int64)
         scores = self._masked_scores(engine, users, exclude_seen)
         top = rank_topk(scores, k)[0]
@@ -424,7 +377,6 @@ class RecommenderService:
             artifact = load_artifact(Path(artifact))
         old = self._engine
         new = _Engine(artifact, version=old.version + 1)
-        self._build_retrieval(new)
         old_index = old.index
         if old_index is not None:
             new.index = self._build_index(
@@ -466,14 +418,11 @@ class RecommenderService:
 
         Call after mutating the artifact's arrays in place (a hot swap via
         :meth:`swap_artifact` does not need it); subsequent requests
-        recompute from the frozen arrays.  The candidate index holds
-        *copies* of the item arrays (the reduced form), so it is rebuilt
-        here rather than merely dropped.
+        recompute from the frozen arrays.
         """
         with self._lock:
             self._cache.clear()
             self._engine.index = None
-            self._build_retrieval(self._engine)
             self._cache_stats["invalidations"] += 1
 
     @property
@@ -521,9 +470,6 @@ class RecommenderService:
                 "index": None
                 if index is None
                 else {"k": index["k"], "exclude_seen": index["exclude_seen"]},
-                "retrieval": None
-                if engine.retrieval is None
-                else engine.retrieval.provenance(),
                 # Fold-in provenance (repro.stream): the artifact's stream
                 # generation and how many users/items it solved online.
                 # Counts, not the id lists, so /stats stays bounded under

@@ -11,9 +11,8 @@ Each solver lives next to the score it inverts, as
 ``origin_rows``; the score-family table in :mod:`repro.families` lists
 which ids fold and how.  Distance families take the (tangent-space) mean
 of the evidence rows, inner-product families solve a ridge system, and
-``dense`` artifacts carry no embeddings — :class:`FoldInUnsupported`,
-mirroring ``retrieval.ReductionUnsupported``.  This module is the
-stream-facing dispatch plus the pure-numpy oracle.
+``dense`` artifacts carry no embeddings — :class:`FoldInUnsupported`.
+This module is the stream-facing dispatch plus the pure-numpy oracle.
 
 **Prior blending.**  For an *existing* user, the frozen embedding is a
 prior weighted by the number of baseline interactions it was trained on:

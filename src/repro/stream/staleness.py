@@ -40,7 +40,7 @@ import numpy as np
 
 from ..constants import DIV_EPS
 from ..data import load_preset
-from ..eval.metrics import ndcg_at_k, rank_topk, recall_at_k
+from ..eval.metrics import mask_seen, ndcg_at_k, rank_topk, recall_at_k
 from ..models import MODEL_REGISTRY, TrainConfig
 from ..serve.artifact import ModelArtifact, artifact_from_model
 from .append import fold_into_artifact
@@ -194,8 +194,7 @@ def _masked_ndcg(artifact: ModelArtifact, ctx: StalenessContext) -> dict:
     k = ctx.config.k
     users = ctx.stream_users
     scores = artifact.scorer().score_users(users)
-    for row, user in zip(scores, users.tolist()):
-        row[artifact.seen_items(user)] = -np.inf
+    mask_seen(scores, artifact.seen_indptr, artifact.seen_indices, users)
     topk = rank_topk(scores, k)
     return {
         "ndcg": float(ndcg_at_k(topk, ctx.eval_positives, k)),

@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..retrieval import get_retrieval
 from ..utils import Timer
 from .callbacks import (
     BestSnapshot,
@@ -64,7 +63,6 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "retrieval": get_retrieval(),
     }
 
 

@@ -85,8 +85,8 @@ def _lorentz_rows(rng, n: int, d: int, scale: float = 0.8) -> np.ndarray:
 def make_frozen_payload(
     score_fn: str, n_users: int = 24, n_items: int = 200, d: int = 8, seed: int = 0
 ) -> dict:
-    """Synthetic payload for one frozen score-fn id (shared by the
-    retrieval suites); every array satisfies ``check_payload``."""
+    """Synthetic payload for one frozen score-fn id; every array
+    satisfies ``check_payload``."""
     r = np.random.default_rng(seed)
     if score_fn == "dot":
         return {"user": r.normal(size=(n_users, d)), "item": r.normal(size=(n_items, d))}

@@ -19,7 +19,6 @@ import pytest
 
 from repro.families import FAMILIES
 from repro.models import MODEL_REGISTRY, TrainConfig
-from repro.retrieval import reducible_score_fns
 from repro.serve.scoring import FrozenScorer, check_payload
 from repro.stream import foldable_score_fns
 
@@ -90,7 +89,6 @@ def test_dense_export_does_not_copy_the_fresh_score_matrix(trained, monkeypatch)
 
 
 def test_capability_splits():
-    assert set(FAMILIES) - set(reducible_score_fns()) == {"two_channel_lorentz", "dense"}
     assert set(FAMILIES) - set(foldable_score_fns()) == {"dense"}
 
 

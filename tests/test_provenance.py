@@ -1,11 +1,13 @@
 """Provenance blocks: what new documents record, and old documents still load.
 
 Artifacts and BENCH files written before the kernel set became a single
-implementation carry an ``environment.backend`` key.  New writers no
-longer emit it, but every reader must keep accepting documents that do:
-the committed golden artifacts and ``BENCH_*.json`` trajectories are
-compared across commits.  ``repro.bench/v1`` environment blocks record
-``cpu_count`` and ``git_sha`` so two BENCH files can be lined up.
+implementation carry an ``environment.backend`` key, and those written
+while serving had selectable candidate indexes an
+``environment.retrieval`` key.  New writers emit neither, but every
+reader must keep accepting documents that do: the committed golden
+artifacts and ``BENCH_*.json`` trajectories are compared across commits.
+``repro.bench/v1`` environment blocks record ``cpu_count`` and
+``git_sha`` so two BENCH files can be lined up.
 """
 
 from __future__ import annotations
@@ -20,19 +22,40 @@ import pytest
 
 from repro.bench import BenchCase, run_cases, validate_result
 from repro.bench.harness import environment, git_sha
-from repro.serve import load_artifact, validate_model_artifact
+from repro.serve import export_payload, load_artifact, validate_model_artifact
 
 REPO_ROOT = Path(__file__).parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_ARTIFACTS = sorted(FIXTURES.glob("*/golden_model.npz"))
 BENCH_FILES = sorted(REPO_ROOT.glob("BENCH_*.json")) + sorted((FIXTURES / "bench").glob("*.json"))
+# Environment keys new writers no longer emit but old documents still carry.
+DROPPED_KEYS = ("backend", "retrieval")
 
 
-def test_some_legacy_documents_carry_the_backend_key():
+@pytest.mark.parametrize("key", DROPPED_KEYS)
+def test_some_legacy_documents_carry_the_dropped_key(key):
     # Guards the two tests below against silently covering nothing.
-    stamped = [p for p in GOLDEN_ARTIFACTS if "backend" in load_artifact(p).meta["environment"]]
-    stamped += [p for p in BENCH_FILES if "backend" in json.loads(p.read_text())["environment"]]
+    stamped = [p for p in GOLDEN_ARTIFACTS if key in load_artifact(p).meta["environment"]]
+    stamped += [p for p in BENCH_FILES if key in json.loads(p.read_text())["environment"]]
     assert stamped
+
+
+def test_new_environment_blocks_carry_no_dropped_key(tiny_run_dir, tiny_split, tmp_path):
+    train = tiny_split.train
+    export_payload(
+        tmp_path / "dense.npz",
+        score_fn="dense",
+        arrays={"scores": np.zeros((train.n_users, train.n_items))},
+        train=train,
+        model_name="Dense",
+    )
+    blocks = {
+        "repro.model/v1": load_artifact(tmp_path / "dense.npz").meta["environment"],
+        "repro.run/v1": json.loads((tiny_run_dir / "result.json").read_text())["environment"],
+        "repro.bench/v1": environment(),
+    }
+    for schema, block in blocks.items():
+        assert not set(DROPPED_KEYS) & set(block), (schema, block)
 
 
 @pytest.mark.parametrize("path", GOLDEN_ARTIFACTS, ids=lambda p: p.parent.name)

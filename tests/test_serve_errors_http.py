@@ -14,11 +14,12 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.serve import RecommenderService, create_server, export_payload
+from repro.serve import RecommenderService, create_router, create_server, export_payload
 from repro.serve.errors import (
     ArtifactError,
     BadRequestError,
@@ -86,14 +87,25 @@ def _serve(service):
     return server, thread
 
 
-def _get(base: tuple[str, int], path: str) -> tuple[int, dict]:
+def _stop(server, thread) -> None:
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _request(base: tuple[str, int], method: str, path: str, body=None) -> tuple[int, dict]:
     conn = http.client.HTTPConnection(*base, timeout=30)
     try:
-        conn.request("GET", path)
+        payload = None if body is None else json.dumps(body)
+        conn.request(method, path, body=payload, headers={"Content-Type": "application/json"})
         response = conn.getresponse()
         return response.status, json.loads(response.read().decode("utf-8"))
     finally:
         conn.close()
+
+
+def _get(base: tuple[str, int], path: str) -> tuple[int, dict]:
+    return _request(base, "GET", path)
 
 
 class TestWireMapping:
@@ -145,9 +157,30 @@ def real_base(tiny_split, tmp_path_factory):
     service = RecommenderService(path, shard=(0, 4))
     server, thread = _serve(service)
     yield server.server_address[:2], service
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    _stop(server, thread)
+
+
+GOLDEN = Path(__file__).parent / "fixtures" / "serve" / "golden_model.npz"
+
+# /score bodies whose ids are not int64 integers: each used to be either
+# an untyped 500 (OverflowError) or silently truncated to a valid id.
+BAD_SCORE_IDS = {
+    "item-beyond-int64": {"user": 0, "items": [2**63]},
+    "fractional-ids": {"user": 1.7, "items": [0.9, 2.5]},
+    "bool-user": {"user": True, "items": [0]},
+}
+
+
+@pytest.fixture(scope="module")
+def golden_fronts():
+    """The golden artifact on a single-process server and on a router in front of it."""
+    server, thread = _serve(RecommenderService(GOLDEN))
+    router = create_router([server.server_address[:2]], n_shards=1)
+    router_thread = threading.Thread(target=router.serve_forever, daemon=True)
+    router_thread.start()
+    yield {"single": server.server_address[:2], "router": router.server_address[:2]}
+    _stop(router, router_thread)
+    _stop(server, thread)
 
 
 class TestRealPaths:
@@ -163,6 +196,12 @@ class TestRealPaths:
             status, body = _get(base, path)
             assert status == 400, (path, body)
             assert body["type"] == "BadRequestError"
+
+    @pytest.mark.parametrize("body", list(BAD_SCORE_IDS.values()), ids=list(BAD_SCORE_IDS))
+    def test_bad_score_ids_are_400_on_both_front_ends(self, golden_fronts, body):
+        for front, base in golden_fronts.items():
+            status, reply = _request(base, "POST", "/score", body)
+            assert (status, reply.get("type")) == (400, "BadRequestError"), (front, reply)
 
     def test_misrouted_user_is_421_on_the_wire(self, real_base):
         from repro.serve import shard_for_user
