@@ -12,6 +12,9 @@ python -m pytest -x -q -m "not slow"
 echo "== tier-2 tests (slow: hypothesis + e2e) =="
 REPRO_HYPOTHESIS_PROFILE=ci python -m pytest -x -q -m slow
 
+echo "== benchmark tests (perf/run.py --smoke and its correctness gates) =="
+python -m pytest -q perf/tests
+
 echo "== repro.analysis =="
 python -m repro.analysis src tests scripts
 

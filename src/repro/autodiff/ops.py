@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _scatter_add_rows, _unbroadcast
 
 __all__ = [
     "concat",
@@ -72,8 +72,8 @@ def where(condition, a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(np.where(condition, g, 0.0), a.shape),
-            _unbroadcast(np.where(condition, 0.0, g), b.shape),
+            _unbroadcast(np.where(condition, g, 0.0), a.shape) if a.requires_grad else None,
+            _unbroadcast(np.where(condition, 0.0, g), b.shape) if b.requires_grad else None,
         )
 
     return Tensor._from_op(data, (a, b), vjp)
@@ -88,7 +88,10 @@ def maximum(a, b) -> Tensor:
         a_wins = (a.data > b.data).astype(np.float64)
         tie = (a.data == b.data).astype(np.float64) * 0.5
         wa = a_wins + tie
-        return (_unbroadcast(g * wa, a.shape), _unbroadcast(g * (1.0 - wa), b.shape))
+        return (
+            _unbroadcast(g * wa, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * (1.0 - wa), b.shape) if b.requires_grad else None,
+        )
 
     return Tensor._from_op(data, (a, b), vjp)
 
@@ -122,9 +125,7 @@ def scatter_mean_rows(values: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
     index = np.asarray(index)
     counts = np.bincount(index, minlength=n_rows).astype(np.float64)
     safe = np.maximum(counts, 1.0)
-    d = values.data.shape[1]
-    data = np.zeros((n_rows, d), dtype=np.float64)
-    np.add.at(data, index, values.data)
+    data = _scatter_add_rows(index, values.data, n_rows)
     data /= safe[:, None]
 
     def vjp(g):

@@ -22,9 +22,11 @@ array([2., 4.])
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from ..constants import MIN_NORM as _MIN_NORM
 
@@ -74,6 +76,51 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _scatter_add_rows(indices: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``out[indices[i]] += values[i]`` into ``n_rows`` zero rows, in order of ``i``.
+
+    ``indices`` is an integer array of any shape (negative entries count
+    from the end) and ``values`` has shape ``indices.shape + row_shape``.
+    The scatter is one product with a one-hot CSR matrix whose row ``r``
+    lists every ``i`` with ``indices[i] == r`` in increasing ``i``.  scipy's
+    CSR kernel starts each output row at 0.0 and adds ``1.0 * values[i]`` in
+    that column order, which is exactly the sequence of ``numpy.add.at``, so
+    the sums are bit-equal to it, signed zeros included.  (A sort followed
+    by ``numpy.add.reduceat`` sums pairwise and is not.)
+    """
+    idx = np.asarray(indices, dtype=np.intp).ravel()
+    row_shape = values.shape[indices.ndim:]
+    if idx.size == 0:
+        return np.zeros((n_rows, *row_shape), dtype=np.float64)
+    if idx.max() >= n_rows or idx.min() < -n_rows:
+        raise IndexError(f"row index out of bounds for {n_rows} rows")
+    idx = np.where(idx < 0, idx + n_rows, idx)
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
+    onehot = sparse.csr_array(
+        (np.ones(idx.size), np.argsort(idx, kind="stable"), indptr),
+        shape=(n_rows, idx.size),
+    )
+    out = onehot @ values.reshape(idx.size, math.prod(row_shape))
+    return out.reshape((n_rows, *row_shape))
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is pure basic indexing, which selects no element twice.
+
+    Basic entries are ints (not bools), slices, ``...`` and ``None``; integer
+    or boolean arrays, lists and bool scalars are advanced indices.
+    """
+    entries = index if isinstance(index, tuple) else (index,)
+    return all(
+        entry is None
+        or entry is Ellipsis
+        or isinstance(entry, slice)
+        or (isinstance(entry, (int, np.integer)) and not isinstance(entry, bool))
+        for entry in entries
+    )
+
+
 class Tensor:
     """A differentiable multidimensional array.
 
@@ -117,8 +164,14 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
 
-        ``grad`` defaults to ones for scalar outputs; non-scalar outputs
-        require an explicit upstream gradient.
+        ``grad`` defaults to ones for one-element outputs; larger outputs
+        require an explicit upstream gradient of exactly this tensor's shape.
+
+        Raises
+        ------
+        ValueError
+            If ``grad``'s shape differs from this tensor's (it is never
+            broadcast).
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -128,6 +181,8 @@ class Tensor:
             grad = np.ones_like(self.data)
         else:
             grad = np.asarray(grad, dtype=np.float64)
+            if grad.shape != self.shape:
+                raise ValueError(f"grad has shape {grad.shape}, expected {self.shape}")
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -198,8 +253,16 @@ class Tensor:
         return self.data
 
     def item(self) -> float:
-        """The scalar value of a one-element tensor."""
-        return float(self.data)
+        """The value of a one-element tensor of any shape, as a float.
+
+        Raises
+        ------
+        ValueError
+            If the tensor does not hold exactly one element.
+        """
+        if self.data.size != 1:
+            raise ValueError(f"item() needs a one-element tensor, got shape {self.shape}")
+        return float(self.data.item())
 
     def __len__(self) -> int:
         return len(self.data)
@@ -214,24 +277,30 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data + other.data
-        a_shape, b_shape = self.shape, other.shape
+        a, b = self, other
 
         def vjp(g):
-            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+            return (
+                _unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None,
+            )
 
-        return Tensor._from_op(data, (self, other), vjp)
+        return Tensor._from_op(data, (a, b), vjp)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data - other.data
-        a_shape, b_shape = self.shape, other.shape
+        a, b = self, other
 
         def vjp(g):
-            return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
+            return (
+                _unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None,
+            )
 
-        return Tensor._from_op(data, (self, other), vjp)
+        return Tensor._from_op(data, (a, b), vjp)
 
     def __rsub__(self, other) -> "Tensor":
         return Tensor(other) - self
@@ -243,8 +312,8 @@ class Tensor:
 
         def vjp(g):
             return (
-                _unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape),
+                _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
             )
 
         return Tensor._from_op(data, (a, b), vjp)
@@ -257,10 +326,11 @@ class Tensor:
         a, b = self, other
 
         def vjp(g):
-            return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-            )
+            ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+            gb = None
+            if b.requires_grad:
+                gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            return ga, gb
 
         return Tensor._from_op(data, (a, b), vjp)
 
@@ -290,17 +360,30 @@ class Tensor:
         a, b = self, other
 
         def vjp(g):
+            ga = gb = None
             if a.data.ndim == 1 and b.data.ndim == 1:
-                return g * b.data, g * a.data
-            if a.data.ndim == 1:
+                if a.requires_grad:
+                    ga = g * b.data
+                if b.requires_grad:
+                    gb = g * a.data
+            elif a.data.ndim == 1:
                 # (k,) @ (k, n) -> (n,)
-                return np.matmul(g, b.data.T), np.outer(a.data, g)
-            if b.data.ndim == 1:
+                if a.requires_grad:
+                    ga = np.matmul(g, b.data.T)
+                if b.requires_grad:
+                    gb = np.outer(a.data, g)
+            elif b.data.ndim == 1:
                 # (m, k) @ (k,) -> (m,)
-                return np.outer(g, b.data), np.matmul(a.data.T, g)
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+                if a.requires_grad:
+                    ga = np.outer(g, b.data)
+                if b.requires_grad:
+                    gb = np.matmul(a.data.T, g)
+            else:
+                if a.requires_grad:
+                    ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+                if b.requires_grad:
+                    gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            return ga, gb
 
         return Tensor._from_op(data, (a, b), vjp)
 
@@ -358,10 +441,16 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
         shape = self.shape
+        basic = _is_basic_index(index)
 
         def vjp(g):
             out = np.zeros(shape, dtype=np.float64)
-            np.add.at(out, index, g)
+            if basic:
+                # Each element is selected at most once, so a plain in-place
+                # add computes the same 0.0 + g as an unbuffered scatter.
+                out[index] += g
+            else:
+                np.add.at(out, index, g)
             return (out,)
 
         return Tensor._from_op(data, (self,), vjp)
@@ -370,16 +459,18 @@ class Tensor:
         """Row gather with scatter-add backward — the embedding-lookup op.
 
         ``indices`` may contain repeats; gradients for repeated rows are
-        summed, exactly as a sparse embedding gradient requires.
+        summed, exactly as a sparse embedding gradient requires, and in the
+        order the rows appear in ``indices``.  A non-integer (boolean mask)
+        index falls back to ordinary indexing.
         """
         indices = np.asarray(indices)
+        if indices.dtype.kind not in "iu":
+            return self[indices]
         data = self.data[indices]
-        shape = self.shape
+        n_rows = self.shape[0]
 
         def vjp(g):
-            out = np.zeros(shape, dtype=np.float64)
-            np.add.at(out, indices, g)
-            return (out,)
+            return (_scatter_add_rows(indices, g, n_rows),)
 
         return Tensor._from_op(data, (self,), vjp)
 
@@ -391,6 +482,8 @@ class Tensor:
         data = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.shape
 
+        # The vjp hands on a fresh array, not the read-only broadcast view: a
+        # later reduction of a stride-0 view may sum in another order.
         def vjp(g):
             if axis is None:
                 return (np.broadcast_to(g, shape).copy(),)

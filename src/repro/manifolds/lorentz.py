@@ -85,6 +85,15 @@ class Lorentz(Manifold):
         """exp_x(v) = cosh(||v||_L) x + sinh(||v||_L) v / ||v||_L (Eq. 23)."""
         return kernels.lorentz_expmap(x, v)
 
+    def retract(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``expmap_np`` alone: the kernel already ends in :meth:`proj`.
+
+        The projection recomputes x_0 from the spatial part only, so a second
+        one would return the same bits (unlike the Poincaré ball's, which can
+        move a point at the boundary by an ulp).
+        """
+        return self.expmap_np(x, v)
+
     # ------------------------------------------------------------------
     # Geometry (differentiable)
     # ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Parameter, Tensor
+from repro.constants import MAX_TANH_ARG
 from repro.manifolds import Euclidean, Lorentz, PoincareBall
 from repro.optim import SGD, Adam, RiemannianSGD
 
@@ -134,6 +135,23 @@ class TestRiemannianSGD:
             lor.sq_dist(p, target).sum().backward()
             opt.step()
         np.testing.assert_allclose(lor.inner_np(p.data, p.data), -1.0, atol=1e-8)
+
+    def test_lorentz_retract_is_projected_expmap_bit_for_bit(self, rng):
+        lor = Lorentz()
+        x = lor.random((400, 9), rng, scale=2.0)
+        # Tangent steps from tiny to far past MAX_TANH_ARG, where expmap clips.
+        v = lor.proj_tangent(x, rng.normal(size=x.shape) * 10.0 ** rng.uniform(-8, 2, (400, 1)))
+        assert np.any(np.sqrt(np.maximum(lor.inner_np(v, v), 0.0)) > MAX_TANH_ARG)
+        np.testing.assert_array_equal(lor.retract(x, v), lor.proj(lor.expmap_np(x, v)))
+
+    def test_poincare_retract_keeps_its_second_projection(self, rng):
+        ball = PoincareBall()
+        x = ball.proj(rng.normal(size=(400, 12)) * 10.0)  # every row at the boundary
+        v = ball.egrad2rgrad(x, rng.normal(size=x.shape))
+        stepped = ball.expmap_np(x, v)
+        # At the boundary a second projection still moves some rows by an ulp.
+        assert not np.array_equal(ball.proj(stepped), stepped)
+        np.testing.assert_array_equal(ball.retract(x, v), ball.proj(stepped))
 
     def test_grad_clipping_bounds_step(self):
         p = Parameter(np.zeros((1, 3)))

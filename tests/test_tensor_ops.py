@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, is_grad_enabled, no_grad
+from repro.autodiff import Tensor, check_gradients, is_grad_enabled, no_grad
 
 
 class TestConstruction:
@@ -20,6 +20,19 @@ class TestConstruction:
         t = Tensor(3.5)
         assert t.item() == 3.5
         assert t.size == 1
+
+    def test_item_of_one_element_tensor_with_dims(self):
+        value = Tensor([[3.0]]).item()
+        assert value == 3.0 and type(value) is float
+
+    def test_item_rejects_more_than_one_element(self):
+        with pytest.raises(ValueError, match="one-element"):
+            Tensor([1.0, 2.0]).item()
+        with pytest.raises(ValueError, match="one-element"):
+            Tensor(np.zeros((0, 1))).item()
+
+    def test_check_gradients_accepts_a_one_element_output_with_dims(self, rng):
+        check_gradients(lambda a: (a * a).sum(axis=0, keepdims=True), [rng.normal(size=(3,))])
 
     def test_requires_grad_flag(self):
         assert not Tensor([1.0]).requires_grad
