@@ -13,6 +13,9 @@ then drives the full streaming path:
 * **Serve parity** — the folded artifact rides ``swap_artifact`` into a
   live :class:`RecommenderService`; untouched users' top-K must be
   identical before and after the swap (fold-in never moves frozen rows).
+* **Fold CLI** — ``python -m repro stream fold`` on the saved artifact and
+  the same events must write an artifact whose arrays and seen-CSR equal
+  the in-process fold bit for bit.
 * **Attach** — a new tag is routed into a TaxoRec taxonomy with the
   ``s(t, G_k)`` score under ``REPRO_CHECK_MANIFOLD=1``; the expanded tree
   must keep subtree containment and survive ``to_dict``/``from_dict``.
@@ -25,7 +28,10 @@ Usage: PYTHONPATH=src python scripts/stream_smoke.py
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -34,13 +40,14 @@ os.environ.setdefault("REPRO_CHECK_MANIFOLD", "1")
 from repro.data import load_preset, temporal_split
 from repro.manifolds import PoincareBall
 from repro.models import MODEL_REGISTRY, TrainConfig
-from repro.serve import RecommenderService, artifact_from_model
+from repro.serve import RecommenderService, artifact_from_model, load_artifact, save_artifact
 from repro.stream import (
     StreamState,
     attach_tag,
     fold_into_artifact,
     fold_into_service,
     place_tag_embedding,
+    write_events,
 )
 from repro.taxonomy import from_dict, to_dict
 
@@ -77,8 +84,9 @@ def main() -> int:
     service = RecommenderService(artifact)
     before = {user: service.recommend(user, k=10) for user in range(0, artifact.n_users, 5)}
     new_user, new_item = artifact.n_users, artifact.n_items
+    events = [(new_user, 0), (new_user, 3), (new_user, new_item), (1, new_item)]
     state = StreamState.from_artifact(artifact)
-    report = state.ingest([(new_user, 0), (new_user, 3), (new_user, new_item), (1, new_item)])
+    report = state.ingest(events)
     folded = fold_into_service(service, state)
     stream = service.stats()["stream"]
     if stream != {"stream_generation": 1, "n_folded_users": 2, "n_folded_items": 1}:
@@ -104,6 +112,32 @@ def main() -> int:
         if not np.allclose(scores_after, scores_before, rtol=0.0, atol=0.0):
             return fail(f"user {user} scores moved across the swap")
     print(f"   ok: {len(before) - 1} untouched users bit-identical")
+
+    print("== fold CLI (python -m repro stream fold == the in-process fold)")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_artifact(artifact, tmp / "model.npz")
+        write_events(events, tmp / "events.json")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-m", "repro", "stream", "fold", str(tmp / "model.npz"),
+               "--events", str(tmp / "events.json"), "--out", str(tmp / "folded.npz")]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            return fail(f"stream fold exited {done.returncode}: {done.stderr.strip()}")
+        written = load_artifact(tmp / "folded.npz")
+    if sorted(written.arrays) != sorted(folded.arrays):
+        return fail(f"CLI artifact arrays {sorted(written.arrays)} != {sorted(folded.arrays)}")
+    for key, arr in folded.arrays.items():
+        if not np.array_equal(written.arrays[key], arr):
+            return fail(f"CLI fold differs from the in-process fold on {key!r}")
+    if not (np.array_equal(written.seen_indptr, folded.seen_indptr)
+            and np.array_equal(written.seen_indices, folded.seen_indices)):
+        return fail("CLI fold wrote a different seen-CSR")
+    if written.meta["stream"] != folded.meta["stream"]:
+        return fail(f"CLI provenance {written.meta['stream']} != {folded.meta['stream']}")
+    print(f"   ok: {done.stdout.strip().splitlines()[-1]}")
 
     print("== attach (new tag routed into a live taxonomy, checks on)")
     taxo_model = MODEL_REGISTRY["TaxoRec"](split.train, TrainConfig(epochs=1, seed=RUN["seed"]))

@@ -6,7 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _scatter_add_rows, _unbroadcast
+from ..kernels import scatter_add_rows
+from .tensor import Tensor, _unbroadcast
 
 __all__ = [
     "concat",
@@ -125,7 +126,7 @@ def scatter_mean_rows(values: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
     index = np.asarray(index)
     counts = np.bincount(index, minlength=n_rows).astype(np.float64)
     safe = np.maximum(counts, 1.0)
-    data = _scatter_add_rows(index, values.data, n_rows)
+    data = scatter_add_rows(index, values.data, n_rows)
     data /= safe[:, None]
 
     def vjp(g):

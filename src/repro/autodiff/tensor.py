@@ -22,13 +22,12 @@ array([2., 4.])
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from ..constants import MIN_NORM as _MIN_NORM
+from ..kernels import scatter_add_rows
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
@@ -74,35 +73,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def _scatter_add_rows(indices: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """``out[indices[i]] += values[i]`` into ``n_rows`` zero rows, in order of ``i``.
-
-    ``indices`` is an integer array of any shape (negative entries count
-    from the end) and ``values`` has shape ``indices.shape + row_shape``.
-    The scatter is one product with a one-hot CSR matrix whose row ``r``
-    lists every ``i`` with ``indices[i] == r`` in increasing ``i``.  scipy's
-    CSR kernel starts each output row at 0.0 and adds ``1.0 * values[i]`` in
-    that column order, which is exactly the sequence of ``numpy.add.at``, so
-    the sums are bit-equal to it, signed zeros included.  (A sort followed
-    by ``numpy.add.reduceat`` sums pairwise and is not.)
-    """
-    idx = np.asarray(indices, dtype=np.intp).ravel()
-    row_shape = values.shape[indices.ndim:]
-    if idx.size == 0:
-        return np.zeros((n_rows, *row_shape), dtype=np.float64)
-    if idx.max() >= n_rows or idx.min() < -n_rows:
-        raise IndexError(f"row index out of bounds for {n_rows} rows")
-    idx = np.where(idx < 0, idx + n_rows, idx)
-    indptr = np.zeros(n_rows + 1, dtype=np.intp)
-    np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
-    onehot = sparse.csr_array(
-        (np.ones(idx.size), np.argsort(idx, kind="stable"), indptr),
-        shape=(n_rows, idx.size),
-    )
-    out = onehot @ values.reshape(idx.size, math.prod(row_shape))
-    return out.reshape((n_rows, *row_shape))
 
 
 def _is_basic_index(index) -> bool:
@@ -470,7 +440,7 @@ class Tensor:
         n_rows = self.shape[0]
 
         def vjp(g):
-            return (_scatter_add_rows(indices, g, n_rows),)
+            return (scatter_add_rows(indices, g, n_rows),)
 
         return Tensor._from_op(data, (self,), vjp)
 

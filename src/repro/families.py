@@ -9,7 +9,7 @@ only place the id is given meaning, and every layer dispatches through it:
 * **serving** — :class:`repro.serve.scoring.FrozenScorer` runs the same
   ``score`` on the exported copy, artifact validation reads the declared
   arrays and ``meta["manifold"]`` is the family's ``space``;
-* **streaming** — :meth:`ScoreFamily.fold_user` / ``fold_item`` /
+* **streaming** — :meth:`ScoreFamily.fold_users` / ``fold_items`` /
   ``origin_rows`` solve new rows against frozen ones (:mod:`repro.stream`).
 
 Live and served scores are therefore the same call on the same arrays,
@@ -36,7 +36,12 @@ Recommender Systems", PAPERS.md).  Distance families solve a new row as
 the mean of its evidence rows — in the tangent space at the origin on
 the hyperboloid; inner-product families solve the ridge system
 ``(VᵀV + λI) u = Vᵀt`` against target score 1.  An existing row is a
-prior weighted by its baseline interaction count.
+prior weighted by its baseline interaction count.  The solvers take
+every row at once, as an evidence CSR: a distance family maps each
+touched evidence row once and sums every row's group with one
+order-preserving sparse product (:func:`repro.kernels.csr_row_sums`),
+so a batch of users gets the bits a one-user call would; an
+inner-product family runs one ridge solve per row.
 
 The distance chains and tangent maps come from :mod:`repro.kernels`.
 This module imports only numpy and :mod:`repro.kernels`, so the models
@@ -75,21 +80,26 @@ class FoldInUnsupported(Exception):
 # ----------------------------------------------------------------------
 # Shared numerics
 # ----------------------------------------------------------------------
-def _prior_row(prior: dict | None, name: str) -> np.ndarray | None:
-    return None if prior is None else np.asarray(prior[name], dtype=np.float64)
+def _tangent_means(table: np.ndarray, indptr: np.ndarray, indices: np.ndarray, lorentz: bool, priors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted tangent-space mean of each CSR row's rows of ``table``, projected back with the exp-map.
 
-
-def _tangent_mean(rows: np.ndarray, lorentz: bool, prior: np.ndarray | None, prior_weight: float) -> np.ndarray:
-    """Weighted tangent-space mean, projected back with the exp-map."""
-    logs = kernels.lorentz_logmap0(rows) if lorentz else rows
-    total = logs.sum(axis=0)
-    weight = float(len(rows))
-    if prior is not None and prior_weight > 0.0:
-        z0 = kernels.lorentz_logmap0(prior[None, :])[0] if lorentz else prior
-        total = total + prior_weight * z0
-        weight += prior_weight
-    z = total / weight
-    return kernels.lorentz_expmap0(z[None, :])[0] if lorentz else z
+    Row ``r`` averages ``table[indices[indptr[r]:indptr[r + 1]]]`` with
+    ``priors[r]`` weighted by ``weights[r]`` (blended only where that weight
+    is positive).  Each touched row of ``table`` is mapped to the tangent
+    space once and summed in place by :func:`repro.kernels.csr_row_sums`,
+    so no per-evidence copy of the rows is made.
+    """
+    touched, columns = np.unique(indices, return_inverse=True)
+    logs = kernels.lorentz_logmap0(table[touched]) if lorentz else table[touched]
+    total = kernels.csr_row_sums(indptr, columns, logs)
+    weight = np.diff(indptr).astype(np.float64)
+    blend = weights > 0.0
+    if blend.any():
+        z0 = kernels.lorentz_logmap0(priors[blend]) if lorentz else priors[blend]
+        total[blend] = total[blend] + weights[blend, None] * z0
+        weight[blend] = weight[blend] + weights[blend]
+    z = total / weight[:, None]
+    return kernels.lorentz_expmap0(z) if lorentz else z
 
 
 def _ridge_solve(design: np.ndarray, targets: np.ndarray, prior: np.ndarray | None, prior_weight: float, ridge: float) -> np.ndarray:
@@ -210,16 +220,21 @@ class ScoreFamily:
         raise NotImplementedError
 
     # -- optional capabilities ------------------------------------------
-    def fold_user(self, arrays: dict, item_ids: np.ndarray, prior: dict | None, prior_weight: float, ridge: float) -> dict:
-        """One user's rows solved from (non-empty) evidence items.
+    def fold_users(self, arrays: dict, indptr: np.ndarray, indices: np.ndarray, priors: dict, weights: np.ndarray, ridge: float) -> dict:
+        """Rows of many users solved at once from an evidence CSR.
 
-        ``prior`` holds the user's existing rows, weighted by
-        ``prior_weight``; ``None`` for a brand-new user.
+        CSR row ``r`` is one user: ``indices[indptr[r]:indptr[r + 1]]``
+        are their (non-empty, sorted) evidence items.  ``priors`` maps
+        every user-side array name to one prior row per CSR row — the
+        user's existing rows, or :meth:`origin_rows` for a brand-new user
+        — and ``weights[r]`` is that prior's evidence weight (the
+        baseline interaction count; 0 ignores the prior).  Returns
+        user-side array name → ``(n_rows, …)`` solved rows.
         """
         raise FoldInUnsupported(self.id, self.no_fold)
 
-    def fold_item(self, arrays: dict, user_ids: np.ndarray, prior: dict | None, prior_weight: float, ridge: float) -> dict:
-        """One item's rows solved from the (non-empty) users who touched it."""
+    def fold_items(self, arrays: dict, indptr: np.ndarray, indices: np.ndarray, priors: dict, weights: np.ndarray, ridge: float) -> dict:
+        """Rows of many items solved at once from the users who touched each (see :meth:`fold_users`)."""
         raise FoldInUnsupported(self.id, self.no_fold)
 
     def origin_rows(self, arrays: dict, side: str) -> dict:
@@ -269,33 +284,40 @@ class _InnerProduct(ScoreFamily):
         out, start = {}, 0
         for name in names:
             width = arrays[name].shape[1]
-            out[name] = solution[start : start + width]
+            out[name] = solution[:, start : start + width]
             start += width
         return out
 
-    def fold_user(self, arrays, item_ids, prior, prior_weight, ridge):
+    def fold_users(self, arrays, indptr, indices, priors, weights, ridge):
         user_names = [user for user, _ in self.pairs]
-        design = self._weighted(arrays, [item for _, item in self.pairs], item_ids)
-        targets = np.ones(len(item_ids))
-        for name in self.item_vectors:
-            targets = targets - arrays[name][item_ids]
-        q0 = None if prior is None else np.concatenate([_prior_row(prior, name) for name in user_names])
-        q = _ridge_solve(design, targets, q0, prior_weight, ridge)
+        item_names = [item for _, item in self.pairs]
+        q0 = np.concatenate([priors[name] for name in user_names], axis=1)
+        q = np.empty_like(q0)
+        for r, item_ids in enumerate(np.split(indices, indptr[1:-1])):
+            design = self._weighted(arrays, item_names, item_ids)
+            targets = np.ones(len(item_ids))
+            for name in self.item_vectors:
+                targets = targets - arrays[name][item_ids]
+            q[r] = _ridge_solve(design, targets, q0[r], weights[r], ridge)
         return self._split(q, arrays, user_names)
 
-    def fold_item(self, arrays, user_ids, prior, prior_weight, ridge):
+    def fold_items(self, arrays, indptr, indices, priors, weights, ridge):
         item_names = [item for _, item in self.pairs]
-        design = self._weighted(arrays, [user for user, _ in self.pairs], user_ids)
-        x0 = None if prior is None else np.concatenate([_prior_row(prior, name) for name in item_names])
-        if self.item_vectors:
-            # the item bias is solved jointly via the augmented design [U | 1]
-            design = np.concatenate([design, np.ones((len(user_ids), 1))], axis=1)
-            if prior is not None:
-                x0 = np.concatenate([x0, [float(prior[self.item_vectors[0]])]])
-        x = _ridge_solve(design, np.ones(len(user_ids)), x0, prior_weight, ridge)
+        user_names = [user for user, _ in self.pairs]
+        x0 = np.concatenate(
+            [priors[name] for name in item_names] + [priors[name][:, None] for name in self.item_vectors],
+            axis=1,
+        )
+        x = np.empty_like(x0)
+        for r, user_ids in enumerate(np.split(indices, indptr[1:-1])):
+            design = self._weighted(arrays, user_names, user_ids)
+            if self.item_vectors:
+                # the item bias is solved jointly via the augmented design [U | 1]
+                design = np.concatenate([design, np.ones((len(user_ids), 1))], axis=1)
+            x[r] = _ridge_solve(design, np.ones(len(user_ids)), x0[r], weights[r], ridge)
         out = self._split(x, arrays, item_names)
-        if self.item_vectors:
-            out[self.item_vectors[0]] = float(x[-1])
+        for name in self.item_vectors:
+            out[name] = x[:, -1]
         return out
 
 
@@ -320,15 +342,15 @@ class _DotAspect(_InnerProduct):
 class _Distance(ScoreFamily):
     """Fold-in is the mean of the evidence rows, per pair (tangent space on the hyperboloid)."""
 
-    def fold_user(self, arrays, item_ids, prior, prior_weight, ridge):
+    def fold_users(self, arrays, indptr, indices, priors, weights, ridge):
         return {
-            user: _tangent_mean(arrays[item][item_ids], self.lorentz, _prior_row(prior, user), prior_weight)
+            user: _tangent_means(arrays[item], indptr, indices, self.lorentz, priors[user], weights)
             for user, item in self.pairs
         }
 
-    def fold_item(self, arrays, user_ids, prior, prior_weight, ridge):
+    def fold_items(self, arrays, indptr, indices, priors, weights, ridge):
         return {
-            item: _tangent_mean(arrays[user][user_ids], self.lorentz, _prior_row(prior, item), prior_weight)
+            item: _tangent_means(arrays[user], indptr, indices, self.lorentz, priors[item], weights)
             for user, item in self.pairs
         }
 
@@ -367,10 +389,11 @@ class _TwoChannel(_Distance):
         d_tg = self._sq_dist(arrays["user_tg"][users], arrays["item_tg"])
         return -(d_ir + alpha * d_tg)
 
-    def fold_user(self, arrays, item_ids, prior, prior_weight, ridge):
-        # a new user's alpha defaults to the frozen median; an existing user keeps theirs
-        out = super().fold_user(arrays, item_ids, prior, prior_weight, ridge)
-        out["alpha"] = float(prior["alpha"]) if prior is not None else _alpha_default(arrays)
+    def fold_users(self, arrays, indptr, indices, priors, weights, ridge):
+        # alpha is the prior's: an existing user keeps theirs, a new user's
+        # origin row carries the frozen median
+        out = super().fold_users(arrays, indptr, indices, priors, weights, ridge)
+        out["alpha"] = np.array(priors["alpha"], dtype=np.float64)
         return out
 
     def origin_rows(self, arrays, side):

@@ -4,8 +4,10 @@
 between them), ``repro.families`` (the frozen score functions, live and
 served), ``repro.models.taxorec`` (the Eq. 17 distances) and
 ``repro.stream`` (fold-in and taxonomy attach) all call these plain
-functions.  Every kernel is a pure function of its arrays: float64 in,
-a freshly allocated float64 array out.
+functions; :mod:`repro.autodiff` (:func:`scatter_add_rows`) and the
+fold-in share one order-preserving row sum, :func:`csr_row_sums`.
+Every kernel is a pure function of its arrays: float64 in, a freshly
+allocated float64 array out.
 
 The hot chains run in place so each output element passes through one
 short pipeline instead of a parade of full-size temporaries:
@@ -29,7 +31,10 @@ expressions are kept as oracles in ``tests/test_kernels.py``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy import sparse
 
 from .constants import BOUNDARY_EPS, EPS, MAX_TANH_ARG, MIN_NORM
 
@@ -55,6 +60,8 @@ __all__ = [
     "poincare_to_lorentz",
     "poincare_to_klein",
     "klein_to_poincare",
+    "csr_row_sums",
+    "scatter_add_rows",
 ]
 
 # Row blocks sized so one float64 block of the output (~1 MiB) fits in L2
@@ -332,3 +339,50 @@ def klein_to_poincare(x: np.ndarray) -> np.ndarray:
     sq = np.sum(x * x, axis=-1, keepdims=True)
     root = np.sqrt(np.maximum(1.0 - sq, 0.0))
     return x / (1.0 + root)
+
+
+# ----------------------------------------------------------------------
+# Row scatter
+# ----------------------------------------------------------------------
+def csr_row_sums(indptr: np.ndarray, columns: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row ``r`` is ``table[columns[j]]`` summed over ``j`` in ``indptr[r]:indptr[r + 1]``, in that order.
+
+    One product of ``table`` (2-d) with a 0/1 CSR matrix: scipy's CSR
+    kernel starts each output row at 0.0 and adds ``1.0 * table[columns[j]]``
+    in stored order, so a row adds its table rows left to right without
+    gathering them — for a table at least two columns wide, the order of
+    ``table[columns[start:stop]].sum(axis=0)``, except that a group of only
+    ``-0.0`` sums to ``+0.0``.  (At width 1 numpy sums the gathered column
+    pairwise, and ``numpy.add.reduceat`` sums pairwise at any width;
+    neither is bit-equal to this.)
+    """
+    onehot = sparse.csr_array(
+        (np.ones(len(columns)), columns, indptr), shape=(len(indptr) - 1, table.shape[0])
+    )
+    return onehot @ table
+
+
+def scatter_add_rows(indices: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``out[indices[i]] += values[i]`` into ``n_rows`` zero rows, in order of ``i``.
+
+    ``indices`` is an integer array of any shape (negative entries count
+    from the end) and ``values`` has shape ``indices.shape + row_shape``.
+    The scatter is :func:`csr_row_sums` with row ``r`` listing every ``i``
+    with ``indices[i] == r`` in increasing ``i``: each output row starts at
+    0.0 and adds ``values[i]`` in that order, which is exactly the sequence
+    of ``numpy.add.at``, so the sums are bit-equal to it, signed zeros
+    included.
+    """
+    idx = np.asarray(indices, dtype=np.intp).ravel()
+    row_shape = values.shape[np.ndim(indices):]
+    if idx.size == 0:
+        return np.zeros((n_rows, *row_shape), dtype=np.float64)
+    if idx.max() >= n_rows or idx.min() < -n_rows:
+        raise IndexError(f"row index out of bounds for {n_rows} rows")
+    idx = np.where(idx < 0, idx + n_rows, idx)
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
+    out = csr_row_sums(
+        indptr, np.argsort(idx, kind="stable"), values.reshape(idx.size, math.prod(row_shape))
+    )
+    return out.reshape((n_rows, *row_shape))

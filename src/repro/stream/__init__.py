@@ -3,16 +3,18 @@
 The online half of ROADMAP item 3: everything between two full retrains.
 
 * :mod:`~repro.stream.events` — interaction-ingest layer.
-  :class:`StreamState` accumulates per-user/per-item deltas over a
-  frozen artifact with order-insensitive, duplicate-idempotent batch
-  semantics; ``repro.events/v1`` JSON files make streams committable.
-* :mod:`~repro.stream.foldin` — per-score-fn solvers for new-user /
-  new-item embeddings against the frozen arrays (tangent-space mean on
-  the hyperboloid, ridge least-squares for inner-product models),
-  with pure-numpy ``*_reference`` twins.
+  :class:`StreamState` accumulates ``(user, item)`` deltas over a
+  frozen artifact with order-insensitive, duplicate-idempotent, atomic
+  batch semantics and hands them to the fold as an evidence CSR;
+  ``repro.events/v1`` JSON files make streams committable.
+* :mod:`~repro.stream.foldin` — one-row entry points to the per-score-fn
+  solvers for new-user / new-item embeddings against the frozen arrays
+  (tangent-space mean on the hyperboloid, ridge least-squares for
+  inner-product models).
 * :mod:`~repro.stream.append` — :func:`fold_into_artifact` /
-  :func:`fold_into_service`: fold deltas into a validated new
-  ``repro.model/v1`` artifact and hot-swap it into a live service.
+  :func:`fold_into_service`: fold every delta in one batched pass into a
+  validated new ``repro.model/v1`` artifact and hot-swap it into a live
+  service.
 * :mod:`~repro.stream.expand` — attach new tags to the live taxonomy by
   ``s(t, G_k)`` routing (paper Eq. 7) with the deterministic
   ``(-score, id)`` tiebreak; Einstein-midpoint embedding placement.
@@ -30,7 +32,6 @@ from .foldin import (
     FoldInUnsupported,
     fold_in_item,
     fold_in_user,
-    fold_in_user_reference,
     foldable_score_fns,
     origin_rows,
 )
@@ -46,7 +47,6 @@ __all__ = [
     "FoldInUnsupported",
     "foldable_score_fns",
     "fold_in_user",
-    "fold_in_user_reference",
     "fold_in_item",
     "origin_rows",
     "fold_into_artifact",

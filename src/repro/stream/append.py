@@ -1,21 +1,28 @@
 """Appending fold-in results to a loaded ``repro.model/v1`` artifact.
 
 :func:`fold_into_artifact` takes a frozen artifact plus a
-:class:`~repro.stream.events.StreamState` and produces a *new* artifact:
+:class:`~repro.stream.events.StreamState` and produces a *new* artifact
+in one batched pass over the state's evidence CSR
+(:meth:`~repro.stream.events.StreamState.evidence`):
 
-* **New items first** — each item id beyond the artifact's ``n_items``
-  gets a row solved from the frozen embeddings of the existing users who
-  touched it (:func:`~repro.stream.foldin.fold_in_item`); id-space gaps
-  are filled with origin rows.  Existing item rows stay frozen — fold-in
-  updates the user side against a fixed catalogue (the ASOS pattern), so
-  scores of untouched users never move.
+* **New items first** — every item id beyond the artifact's ``n_items``
+  that an existing user touched gets a row solved from the frozen rows of
+  those users, all in one ``ScoreFamily.fold_items`` call; id-space gaps
+  and items only new users touched keep origin rows.  Existing item rows
+  stay frozen — fold-in updates the user side against a fixed catalogue
+  (the ASOS pattern), so scores of untouched users never move.
 * **Then users** — every pending user is solved against the (now
-  extended) item arrays.  A new user is appended; an existing user's row
-  is *replaced* by the prior-blended solve, where the prior weight is
-  their baseline interaction count.  A user whose events were all
-  duplicates has no pending delta and is untouched.
-* The seen-CSR is extended with the union of baseline and evidence, so
-  ``exclude_seen`` keeps masking everything the user ever touched.
+  extended) item arrays in one ``ScoreFamily.fold_users`` call.  A new
+  user is appended; an existing user's row is *replaced* by the
+  prior-blended solve, where the prior weight is their baseline
+  interaction count.  A user whose events were all duplicates has no
+  pending delta and is untouched.
+* The seen-CSR is the union of the baseline and the evidence, so
+  ``exclude_seen`` keeps masking everything the user ever touched.  One
+  stable sort merges their sorted ``(user, item)`` keys, and a pair on
+  both sides is kept once.  That happens when a cumulative state is
+  folded into an artifact that already holds its earlier evidence, as
+  :func:`fold_into_service` does on every fold after the first.
 * Provenance lands in ``meta["stream"]``:
   ``{"generation", "folded_users", "folded_items"}`` — surfaced by
   ``RecommenderService.stats()`` and the golden fixtures.
@@ -34,101 +41,83 @@ import numpy as np
 
 from ..serve.artifact import ModelArtifact, validate_model_artifact
 from .events import StreamState
-from .foldin import (
-    RIDGE,
-    _require_foldable,
-    fold_in_item,
-    fold_in_user,
-    fold_in_user_reference,
-    origin_rows,
-)
+from .foldin import RIDGE, _require_foldable
 
 __all__ = ["fold_into_artifact", "fold_into_service"]
 
 
-def _grow(arr: np.ndarray, rows: int) -> np.ndarray:
-    """Copy ``arr`` with ``rows`` zero rows appended (1-d aware)."""
+def _grow(arr: np.ndarray, rows: int, fill) -> np.ndarray:
+    """Copy ``arr`` with ``rows`` copies of the row ``fill`` appended (1-d aware)."""
     if rows == 0:
         return np.copy(arr)
-    pad = np.zeros((rows,) + arr.shape[1:], dtype=arr.dtype)
+    pad = np.empty((rows,) + arr.shape[1:], dtype=arr.dtype)
+    pad[...] = fill
     return np.concatenate([arr, pad], axis=0)
-
-
-def _apply(arrays: dict, index: int, solved: dict) -> None:
-    for name, value in solved.items():
-        arrays[name][index] = value
 
 
 def fold_into_artifact(
     artifact: ModelArtifact,
     state: StreamState,
     ridge: float = RIDGE,
-    use_reference: bool = False,
 ) -> ModelArtifact:
     """Fold a stream state's deltas into a frozen artifact.
 
     Returns a new, validated :class:`ModelArtifact`; the input artifact
-    is never mutated.  ``use_reference=True`` routes every solve through
-    the pure-numpy ``*_reference`` twins (differential suite).
+    is never mutated.
 
     Raises :class:`~repro.stream.foldin.FoldInUnsupported` for ``dense``
     artifacts and ``ValueError`` if the folded result fails
     ``repro.model/v1`` validation.
     """
-    score_fn = artifact.score_fn
-    family = _require_foldable(score_fn)
-    solve_user = fold_in_user_reference if use_reference else fold_in_user
+    family = _require_foldable(artifact.score_fn)
+    frozen = artifact.arrays
     n_users, n_items = artifact.n_users, artifact.n_items
-    new_items = state.new_items()
-    new_users = state.new_users()
-    out_n_items = int(max([n_items, *[i + 1 for i in new_items.tolist()]]))
-    out_n_users = int(max([n_users, *[u + 1 for u in new_users.tolist()]]))
-
-    arrays = dict(artifact.arrays)
-    for name in family.item_side:
-        arrays[name] = _grow(arrays[name], out_n_items - n_items)
+    users, indptr, indices = state.evidence()
+    owners = np.repeat(users, np.diff(indptr))  # the user of each evidence entry
+    out_n_users = max(n_users, int(users[-1]) + 1) if users.size else n_users
+    out_n_items = max(n_items, int(indices.max()) + 1) if indices.size else n_items
 
     # -- items first: new rows solved from frozen *existing*-user rows --
-    folded_items = []
-    for item in range(n_items, out_n_items):
-        users = state.users_of(item)
-        users = users[users < n_users]
-        if users.size:
-            _apply(arrays, item, fold_in_item(score_fn, artifact.arrays, users, ridge=ridge))
-            folded_items.append(item)
-        else:
-            _apply(arrays, item, origin_rows(score_fn, artifact.arrays, side="item"))
+    arrays = dict(frozen)
+    origin = family.origin_rows(frozen, side="item")
+    for name in family.item_side:
+        arrays[name] = _grow(arrays[name], out_n_items - n_items, origin[name])
+    touched = (indices >= n_items) & (owners < n_users)
+    by_item = np.argsort(indices[touched], kind="stable")
+    item_of, item_users = indices[touched][by_item], owners[touched][by_item]
+    folded_items, starts = np.unique(item_of, return_index=True)
+    if folded_items.size:
+        priors = {name: arrays[name][folded_items] for name in family.item_side}
+        solved = family.fold_items(
+            frozen, np.append(starts, item_of.size), item_users, priors,
+            np.zeros(folded_items.size), ridge,
+        )
+        for name, value in solved.items():
+            arrays[name][folded_items] = value
 
     # -- then users, against the extended item arrays -------------------
+    origin = family.origin_rows(frozen, side="user")
     for name in family.user_side:
-        arrays[name] = _grow(arrays[name], out_n_users - n_users)
-    for user in range(n_users, out_n_users):
-        _apply(arrays, user, origin_rows(score_fn, artifact.arrays, side="user"))
+        arrays[name] = _grow(arrays[name], out_n_users - n_users, origin[name])
+    if users.size:
+        priors = {name: arrays[name][users] for name in family.user_side}
+        weights = np.zeros(users.size)
+        existing = users < n_users
+        weights[existing] = np.diff(artifact.seen_indptr)[users[existing]]
+        solved = family.fold_users(arrays, indptr, indices, priors, weights, ridge)
+        for name, value in solved.items():
+            arrays[name][users] = value
 
-    folded_users = []
-    for user in state.pending_users().tolist():
-        items = state.items_of(user)
-        if user < n_users:
-            prior = {name: artifact.arrays[name][user] for name in family.user_side}
-            prior.update({name: float(artifact.arrays[name][user]) for name in family.user_vectors})
-            weight = float(artifact.seen_indptr[user + 1] - artifact.seen_indptr[user])
-        else:
-            prior, weight = None, 0.0
-        _apply(arrays, user, solve_user(score_fn, arrays, items, prior, weight, ridge=ridge))
-        folded_users.append(user)
-
-    # -- seen-CSR: union of baseline and evidence -----------------------
-    indptr = np.zeros(out_n_users + 1, dtype=np.int64)
-    chunks = []
-    for user in range(out_n_users):
-        if user < n_users:
-            base = artifact.seen_indices[artifact.seen_indptr[user] : artifact.seen_indptr[user + 1]]
-        else:
-            base = np.empty(0, dtype=np.int64)
-        row = np.union1d(base, state.items_of(user)).astype(np.int64)
-        chunks.append(row)
-        indptr[user + 1] = indptr[user] + len(row)
-    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    # -- seen-CSR: the union of the baseline and the evidence ----------
+    base_rows = np.repeat(np.arange(n_users, dtype=np.int64), np.diff(artifact.seen_indptr))
+    base_keys = base_rows * out_n_items + np.asarray(artifact.seen_indices, dtype=np.int64)
+    # both halves are sorted, so the stable sort is one merge; a pair on
+    # both sides is kept once
+    keys = np.sort(np.concatenate([base_keys, owners * out_n_items + indices]), kind="stable")
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    rows, seen_indices = np.divmod(keys, out_n_items)
+    seen_indptr = np.zeros(out_n_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=out_n_users), out=seen_indptr[1:])
 
     meta = copy.deepcopy(artifact.meta)
     meta["dataset"]["n_users"] = out_n_users
@@ -137,14 +126,14 @@ def fold_into_artifact(
     prev = meta.get("stream", {})
     meta["stream"] = {
         "generation": int(prev.get("generation", 0)) + 1,
-        "folded_users": sorted(folded_users),
-        "folded_items": sorted(folded_items),
+        "folded_users": users.tolist(),
+        "folded_items": folded_items.tolist(),
     }
 
-    problems = validate_model_artifact(meta, arrays, indptr, indices)
+    problems = validate_model_artifact(meta, arrays, seen_indptr, seen_indices)
     if problems:
         raise ValueError(f"folded artifact failed validation: {problems}")
-    return ModelArtifact(meta, arrays, indptr, indices, tag_names=list(artifact.tag_names))
+    return ModelArtifact(meta, arrays, seen_indptr, seen_indices, tag_names=list(artifact.tag_names))
 
 
 def fold_into_service(service, state: StreamState, ridge: float = RIDGE) -> ModelArtifact:

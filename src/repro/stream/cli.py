@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     fold.add_argument("artifact", help="input repro.model/v1 .npz artifact")
     fold.add_argument("--events", required=True, help="repro.events/v1 JSON file")
     fold.add_argument("--out", required=True, help="output artifact path (.npz)")
-    fold.add_argument("--reference", action="store_true",
-                      help="use the pure-numpy reference solvers (differential debugging)")
 
     replay = sub.add_parser("replay", help="staleness replay: fold-in vs retrain vs frozen")
     replay.add_argument("--model", default="CML", help="registry model (default: CML)")
@@ -73,7 +71,7 @@ def _fold(args) -> int:
         f"ingested {report.accepted} event(s) ({report.duplicates} duplicate(s), "
         f"{len(report.new_users)} new user(s), {len(report.new_items)} new item(s))"
     )
-    folded = fold_into_artifact(artifact, state, use_reference=args.reference)
+    folded = fold_into_artifact(artifact, state)
     out = save_artifact(folded, args.out)
     stream = folded.meta["stream"]
     print(

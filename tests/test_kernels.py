@@ -303,6 +303,40 @@ class TestDiscreteKernels:
             np.testing.assert_array_equal(rank_topk(scores, k), rank_topk_reference(scores, k))
 
 
+class TestRowSums:
+    """``csr_row_sums`` adds each group's rows left to right from 0.0.
+
+    The batched fold-in relies on this: its per-user sums must carry the
+    bits of a per-user ``rows.sum(axis=0)``.  The table spans 32 decades,
+    so a different summation order shows up in the bits.
+    """
+
+    def _groups(self, width):
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(60, width)) * 10.0 ** rng.integers(-16, 17, size=(60, width))
+        sizes = rng.integers(1, 21, size=40)
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        columns = np.concatenate([np.sort(rng.choice(60, size=k, replace=False)) for k in sizes])
+        per_group = [table[columns[a:b]].sum(axis=0) for a, b in zip(indptr[:-1], indptr[1:])]
+        return table, indptr, columns, np.array(per_group)
+
+    def test_matches_per_group_sums_bit_for_bit(self):
+        table, indptr, columns, expected = self._groups(width=5)
+        out = kernels.csr_row_sums(indptr, columns, table)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+        # the data can tell orders apart: a pairwise reduceat gets other bits
+        assert not np.array_equal(np.add.reduceat(table[columns], indptr[:-1], axis=0), expected)
+
+    def test_scatter_add_rows_of_grouped_indices_is_the_same_sum(self):
+        table, indptr, columns, _ = self._groups(width=5)
+        owners = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        np.testing.assert_array_equal(
+            kernels.scatter_add_rows(owners, table[columns], len(indptr) - 1),
+            kernels.csr_row_sums(indptr, columns, table),
+        )
+
+
 @pytest.mark.slow
 class TestHypothesisSweep:
     """Random shapes and values (subnormals included) stay within 1e-10."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -58,6 +59,70 @@ def test_negative_ids_are_rejected():
         state.ingest([Event(0, -3)])
 
 
+def test_a_rejected_batch_leaves_the_state_untouched():
+    state = _state_with_baseline()
+    with pytest.raises(ValueError, match="non-negative"):
+        state.ingest([(1, 2), (-1, 0)])
+    assert state.n_events == 0
+    assert state.generation == 0
+    assert state.events() == []
+
+
+@pytest.mark.parametrize(
+    "event",
+    [Event(1.7, 2.9), (True, 3), (1, False), (1, 2.0), (np.float64(1.0), 2)],
+    ids=["float-event", "bool-user", "bool-item", "integral-float", "numpy-float"],
+)
+def test_non_integer_ids_are_rejected_not_truncated(event):
+    state = _state_with_baseline()
+    with pytest.raises(ValueError, match="integers"):
+        state.ingest([(0, 2), event])
+    assert state.n_events == 0
+    assert state.generation == 0
+
+
+def test_ids_must_fit_the_state_key():
+    state = _state_with_baseline()
+    with pytest.raises(ValueError, match=r"below 2\*\*31"):
+        state.ingest([(2**31, 0)])
+    state.ingest([(2**31 - 1, 2**31 - 1)])
+    np.testing.assert_array_equal(state.items_of(2**31 - 1), [2**31 - 1])
+
+
+def test_numpy_integer_ids_are_accepted_as_python_ints():
+    state = _state_with_baseline()
+    report = state.ingest([(np.int64(1), np.int32(2), 4.0), Event(np.uint8(2), np.int16(5))])
+    assert report.accepted == 2
+    assert state.events() == [Event(1, 2, 4.0), Event(2, 5, 0.0)]
+    assert all(type(e.user) is int and type(e.item) is int for e in state.events())
+
+
+def test_a_repeated_pair_keeps_its_earliest_timestamp_in_any_order():
+    batch = [Event(1, 2, 9.0), Event(1, 2, 1.0), (0, 4, 5.0), (1, 2, 3.0), (0, 4, 2.0), (0, 5)]
+    expected = [Event(0, 4, 2.0), Event(0, 5, 0.0), Event(1, 2, 1.0)]
+    for order in itertools.permutations(batch):
+        state = StreamState(3, 6)
+        report = state.ingest(order)
+        assert state.events() == expected, order
+        assert (report.accepted, report.duplicates) == (3, 3)
+    # a repeat in a later batch stays a duplicate, however early its timestamp
+    report = state.ingest([Event(1, 2, 0.5)])
+    assert (report.accepted, report.duplicates) == (0, 1)
+    assert state.events() == expected
+
+
+def test_evidence_is_the_accepted_pairs_as_a_csr():
+    state = _state_with_baseline()
+    assert [a.tolist() for a in state.evidence()] == [[], [0], []]
+    state.ingest([(3, 0), (0, 2), (1, 7), (0, 1), (0, 5), (3, 6)])
+    users, indptr, indices = state.evidence()
+    assert users.dtype == indptr.dtype == indices.dtype == np.int64
+    np.testing.assert_array_equal(users, state.pending_users())
+    for r, user in enumerate(users):
+        np.testing.assert_array_equal(indices[indptr[r] : indptr[r + 1]], state.items_of(user))
+    np.testing.assert_array_equal(indptr, [0, 2, 3, 5])
+
+
 def test_events_come_back_sorted_with_timestamps():
     state = _state_with_baseline()
     state.ingest([(1, 5, 9.0), (0, 3, 7.0), (1, 2, 8.0)])
@@ -71,6 +136,14 @@ def test_event_file_round_trip(tmp_path):
     assert loaded == [Event(0, 3, 7.0), Event(1, 2, 0.0), Event(4, 5, 1.5)]
     doc = json.loads(path.read_text())
     assert doc["schema"] == EVENTS_SCHEMA
+
+
+@pytest.mark.parametrize("row", [{"user": 1.5, "item": 2}, {"user": 1, "item": True}, {"user": 1, "item": 2.0}])
+def test_read_events_rejects_non_integer_ids(tmp_path, row):
+    path = tmp_path / "events.json"
+    path.write_text(json.dumps({"schema": EVENTS_SCHEMA, "events": [{"user": 0, "item": 1}, row]}))
+    with pytest.raises(ValueError, match="integers"):
+        read_events(path)
 
 
 def test_read_events_rejects_wrong_schema(tmp_path):

@@ -8,8 +8,9 @@ artifact must reproduce the frozen top-K *identically* (ranked lists via
 ``repro.eval.topk_ranking``, scores within ``1e-10``) at
 ``k ∈ {1, 10, 50}``.
 
-Folding genuinely-new users is locked the usual way: the pure-numpy
-``*_reference`` twins agree with the family solvers.
+Folding genuinely-new users is locked two ways (``tests/foldin_oracle.py``):
+the batched fold is bit-identical to folding one row at a time through
+the same solvers, and agrees with the pure-numpy oracle to 1e-10.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ import pytest
 
 from repro.eval import topk_ranking
 from repro.models import MODEL_REGISTRY, TrainConfig
-from repro.serve import RecommenderService, artifact_from_model
+from repro.serve import ModelArtifact, RecommenderService, artifact_from_model
 from repro.stream import (
     FoldInUnsupported,
     StreamState,
     fold_in_user,
-    fold_in_user_reference,
     fold_into_artifact,
+    fold_into_service,
     foldable_score_fns,
 )
+
+from .foldin_oracle import fold_in_user_reference, fold_per_user
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 PARITY_KS = (1, 10, 50)
@@ -119,11 +122,109 @@ def test_reference_twin_agrees_with_routed_solvers(frozen, name):
     state = StreamState.from_artifact(artifact)
     state.ingest([(new_user, 0), (new_user, 5), (0, 1 if 1 not in set(artifact.seen_items(0)) else 2)])
     routed = fold_into_artifact(artifact, state)
-    twinned = fold_into_artifact(artifact, state, use_reference=True)
+    twinned, _, _, _ = fold_per_user(artifact, state, solve_user=fold_in_user_reference)
     for key, arr in routed.arrays.items():
         np.testing.assert_allclose(
-            twinned.arrays[key], arr, rtol=0.0, atol=1e-10, err_msg=f"{name}:{key}"
+            twinned[key], arr, rtol=0.0, atol=1e-10, err_msg=f"{name}:{key}"
         )
+
+
+def _assert_same_bits(actual, expected, err_msg):
+    np.testing.assert_array_equal(actual, expected, err_msg=err_msg)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected), err_msg=err_msg)
+
+
+def _without_history(artifact, user):
+    """``artifact`` with ``user``'s seen-CSR row emptied: an existing user with no baseline."""
+    counts = np.diff(artifact.seen_indptr)
+    keep = np.ones(len(artifact.seen_indices), dtype=bool)
+    keep[artifact.seen_indptr[user] : artifact.seen_indptr[user + 1]] = False
+    counts[user] = 0
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return ModelArtifact(
+        artifact.meta, artifact.arrays, indptr, artifact.seen_indices[keep], list(artifact.tag_names)
+    )
+
+
+def test_family_models_cover_every_foldable_family(frozen):
+    assert {frozen(name)[1].score_fn for name in FAMILY_MODELS} == set(foldable_score_fns())
+
+
+@pytest.mark.parametrize("name", FAMILY_MODELS)
+def test_batched_fold_is_bit_identical_to_the_per_user_loop(frozen, name):
+    """One batched pass == one solver call per row + one ``union1d`` per seen row."""
+    _, trained = frozen(name)
+    bare = 2
+    artifact = _without_history(trained, bare)
+    n_users, n_items = artifact.n_users, artifact.n_items
+    unseen = np.setdiff1d(np.arange(n_items), artifact.seen_items(0))
+    state = StreamState.from_artifact(artifact)
+    # two batches: the second repeats a pair of the first and one of the baseline
+    state.ingest(
+        [(0, int(i)) for i in unseen[:3]]
+        + [(0, n_items + 1), (bare, 4), (bare, 9), (n_users, 1), (n_users, n_items + 1)]
+    )
+    state.ingest(
+        [(n_users + 2, 0), (n_users + 2, 4), (n_users, n_items + 2), (3, n_items + 1)]
+        + [(0, int(unseen[0])), (1, int(artifact.seen_items(1)[0]))]
+    )
+    folded = fold_into_artifact(artifact, state)
+    arrays, indptr, indices, stream = fold_per_user(artifact, state)
+
+    # new users n, n+2 (gap n+1); new item n_items+1 folded, n_items a gap,
+    # n_items+2 touched by a new user only
+    assert stream == {
+        "generation": 1,
+        "folded_users": [0, bare, 3, n_users, n_users + 2],
+        "folded_items": [n_items + 1],
+    }
+    assert folded.meta["stream"] == stream
+    assert sorted(folded.arrays) == sorted(arrays)
+    for key, arr in arrays.items():
+        _assert_same_bits(folded.arrays[key], arr, f"{name}:{key}")
+    assert folded.seen_indptr.dtype == folded.seen_indices.dtype == np.int64
+    np.testing.assert_array_equal(folded.seen_indptr, indptr)
+    np.testing.assert_array_equal(folded.seen_indices, indices)
+
+    oracle, _, _, _ = fold_per_user(artifact, state, solve_user=fold_in_user_reference)
+    for key, arr in oracle.items():
+        np.testing.assert_allclose(
+            folded.arrays[key], arr, rtol=0.0, atol=1e-10, err_msg=f"{name}:{key}"
+        )
+
+
+@pytest.mark.parametrize("name", FAMILY_MODELS)
+def test_repeated_service_folds_match_the_per_user_loop(frozen, name):
+    """One cumulative state folded into a live service window after window.
+
+    From the second fold on, the service's artifact already holds the
+    state's earlier evidence, so the seen-CSR union must keep each such
+    pair once: its counts are the next fold's prior weights.
+    """
+    _, artifact = frozen(name)
+    n_users, n_items = artifact.n_users, artifact.n_items
+    unseen = [np.setdiff1d(np.arange(n_items), artifact.seen_items(u)) for u in (0, 1)]
+    service = RecommenderService(artifact)
+    state = StreamState.from_artifact(artifact)
+    windows = [
+        [(0, int(unseen[0][0])), (1, int(unseen[1][0])), (n_users, 1), (n_users, n_items)],
+        [(0, int(unseen[0][1])), (n_users, 2), (n_users + 1, 3), (1, n_items + 1)],
+        [(0, int(unseen[0][2])), (n_users + 1, n_items), (1, int(unseen[1][1]))],
+    ]
+    for generation, window in enumerate(windows, start=1):
+        before = service.artifact
+        state.ingest(window)
+        arrays, indptr, indices, stream = fold_per_user(before, state)
+        folded = fold_into_service(service, state)
+        assert service.artifact is folded
+        assert folded.meta["stream"] == stream
+        assert stream["generation"] == generation
+        for key, arr in arrays.items():
+            _assert_same_bits(folded.arrays[key], arr, f"{name}:{key}@{generation}")
+        np.testing.assert_array_equal(folded.seen_indptr, indptr)
+        np.testing.assert_array_equal(folded.seen_indices, indices)
+    # every pair the state accepted sits in the seen-CSR exactly once
+    assert folded.seen_indices.size == artifact.seen_indices.size + state.n_events
 
 
 @pytest.mark.parametrize("name", FAMILY_MODELS)

@@ -385,7 +385,9 @@ class TestFoldInDifferential:
         ],
     )
     def test_matches_reference_with_and_without_prior(self, score_fn):
-        from repro.stream import fold_in_user, fold_in_user_reference, origin_rows
+        from repro.stream import fold_in_user, origin_rows
+
+        from .foldin_oracle import fold_in_user_reference
 
         arrays = self._payload(score_fn)
         item_ids = np.array([0, 3, 7, 11], dtype=np.int64)
@@ -403,7 +405,9 @@ class TestFoldInDifferential:
                 )
 
     def test_single_item_and_empty_prior_paths(self):
-        from repro.stream import fold_in_user, fold_in_user_reference
+        from repro.stream import fold_in_user
+
+        from .foldin_oracle import fold_in_user_reference
 
         arrays = self._payload("neg_sq_lorentz", seed=4)
         one = np.array([5], dtype=np.int64)
