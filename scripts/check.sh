@@ -25,11 +25,8 @@ else
     echo "ruff not installed; skipping (pip install -e .[lint])"
 fi
 
-echo "== bench smoke =="
-python -m repro.bench --quick --out benchmarks/results/BENCH_smoke.json
-
 echo "== stream bench smoke (fold-in vs retrain staleness race) =="
-python -m repro.bench --cases stream --quick --out benchmarks/results/BENCH_stream_smoke.json
+python -m repro.bench --quick --out benchmarks/results/BENCH_stream_smoke.json
 python - <<'PY'
 import json
 

@@ -1,6 +1,9 @@
-"""Benchmark harness: paired fast-vs-reference timings with JSON trajectories.
+"""The ``repro.bench/v1`` harness: timed cases and JSON result documents.
 
-See ``docs/BENCH.md`` for the result schema and how to add a benchmark.
+``python -m repro.bench`` runs the streaming fold-in-vs-retrain cases into
+``BENCH_stream.json``; ``python -m repro.bench.load`` writes
+``BENCH_serve.json`` with the same schema.  The repository's benchmark is
+``perf/`` (``perf/README.md``).  See ``docs/BENCH.md``.
 """
 
 from .harness import (
@@ -11,7 +14,6 @@ from .harness import (
     validate_result,
     write_result,
 )
-from .hotpaths import HOTPATH_CASES, hotpath_cases
 
 __all__ = [
     "SCHEMA",
@@ -20,6 +22,4 @@ __all__ = [
     "time_callable",
     "validate_result",
     "write_result",
-    "HOTPATH_CASES",
-    "hotpath_cases",
 ]

@@ -1,9 +1,9 @@
-"""``python -m repro.bench`` — run a registered benchmark suite.
+"""``python -m repro.bench`` — the streaming fold-in-vs-retrain cases.
 
 Usage:
-    python -m repro.bench                    # hot paths -> BENCH_hotpaths.json
-    python -m repro.bench --quick            # CI smoke workloads -> BENCH_smoke.json
-    python -m repro.bench --only kmeans      # substring filter
+    python -m repro.bench                    # -> BENCH_stream.json
+    python -m repro.bench --quick            # CI smoke workloads -> BENCH_stream_smoke.json
+    python -m repro.bench --only window0     # substring filter
     python -m repro.bench --list             # show cases and exit
 """
 
@@ -14,35 +14,21 @@ from pathlib import Path
 
 from ..utils import render_table
 from .harness import run_cases, write_result
-from .hotpaths import hotpath_cases
 from .stream import stream_cases
 
-__all__ = ["main", "build_parser", "CASE_SETS"]
-
-# Registered case sets; the set name is the default suite name (and file
-# stem), so --cases stream writes BENCH_stream.json.
-CASE_SETS = {
-    "hotpaths": hotpath_cases,
-    "stream": stream_cases,
-}
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for ``python -m repro.bench``."""
     parser = argparse.ArgumentParser(
         prog="repro.bench",
-        description="Paired fast-vs-reference benchmarks for the repo's hot paths",
-    )
-    parser.add_argument(
-        "--cases",
-        default="hotpaths",
-        choices=sorted(CASE_SETS),
-        help="registered case set to run (default: hotpaths)",
+        description="Paired fold-in vs retrain latency of the streaming staleness replay",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: tiny workloads, suite name '<cases>_smoke'",
+        help="CI smoke mode: tiny workloads, suite name 'stream_smoke'",
     )
     parser.add_argument("--only", default=None, help="substring filter on case names")
     parser.add_argument(
@@ -61,21 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point: run the suite, print a table, write BENCH_<suite>.json."""
     args = build_parser().parse_args(argv)
-    cases = CASE_SETS[args.cases]()
+    cases = stream_cases()
     if args.list:
         for case in cases:
             ref = "paired" if case.reference else "fast-only"
             print(f"{case.name}  [{case.group}, {ref}]")
         return 0
 
-    if args.suite:
-        suite = args.suite
-    elif args.quick:
-        # Historical name for the default set ("smoke", kept stable for
-        # CI artifact paths); other sets get a distinguishing prefix.
-        suite = "smoke" if args.cases == "hotpaths" else f"{args.cases}_smoke"
-    else:
-        suite = args.cases
+    suite = args.suite or ("stream_smoke" if args.quick else "stream")
     repeats = args.repeats if args.repeats is not None else (2 if args.quick else 5)
     result = run_cases(
         cases,

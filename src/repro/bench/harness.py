@@ -1,9 +1,12 @@
-"""Micro/macro benchmark harness: timed cases, JSON results, trajectories.
+"""The ``repro.bench/v1`` harness: timed cases, JSON results, trajectories.
 
-The harness runs *paired* benchmarks: every case times its production fast
-path and (when present) the pinned ``*_reference`` implementation on the
-same prepared state, so each result carries a measured speedup that the
-differential test suite guarantees is numerics-preserving.
+The harness runs *paired* cases: each times its fast path and (when
+present) the path it races on the same prepared state, so each result
+carries a measured speedup.  ``python -m repro.bench`` runs the streaming
+fold-in-vs-retrain cases (:mod:`repro.bench.stream`) into
+``BENCH_stream.json``, and :mod:`repro.bench.load` writes its serving
+sweeps with the same schema.  The repository's end-to-end benchmark is
+``perf/``, not this harness.
 
 Result files follow the ``repro.bench/v1`` schema (see
 :func:`validate_result` and ``docs/BENCH.md``) and are written as
@@ -55,8 +58,8 @@ class BenchCase:
     fast:
         ``fast(state)``: the production path under test.
     reference:
-        Optional ``reference(state)``: the pinned slow twin; when present
-        the result records a speedup.
+        Optional ``reference(state)``: the path the fast one is compared
+        against; when present the result records a speedup.
     workload:
         Optional ``workload(quick) -> dict`` describing sizes for the JSON
         record (purely informational).

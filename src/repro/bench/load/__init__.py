@@ -7,7 +7,7 @@ each client holds one keep-alive connection and fires its next
 ``/recommend`` the moment the previous response lands — and sweeps the
 ``workers × concurrency`` grid into a ``repro.bench/v1`` document
 (``BENCH_serve.json``), so serving throughput joins the same trajectory
-machinery as the numeric hot-path benchmarks.
+machinery as the streaming cases of ``python -m repro.bench``.
 
 Each grid cell becomes one benchmark record:
 

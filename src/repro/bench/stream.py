@@ -1,4 +1,4 @@
-"""Streaming staleness benchmark cases (``--cases stream``).
+"""Streaming staleness benchmark cases (``python -m repro.bench``).
 
 One paired :class:`~repro.bench.harness.BenchCase` per replay window of
 the staleness harness (:mod:`repro.stream.staleness`): the **fast** path

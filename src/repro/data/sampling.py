@@ -148,32 +148,6 @@ class TripletSampler:
             negatives[i, bad] = legal[self.rng.integers(0, len(legal), size=len(bad))]
         return negatives
 
-    def sample_negatives_reference(
-        self, users: np.ndarray, n_each: int | None = None
-    ) -> np.ndarray:
-        """Per-user Python-loop twin of :func:`sample_negatives`.
-
-        Same contract (never returns a forbidden pair unless no legal
-        negative exists, same shape/dtype, same complete-row degeneration);
-        kept as the correctness anchor for the differential tests and the
-        ``repro.bench`` trajectory.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        n_each = n_each or self.n_negatives
-        n_items = self.train.n_items
-        out = np.zeros((len(users), n_each), dtype=np.int64)
-        for i, u in enumerate(users):
-            start, stop = self._code_starts[u], self._code_starts[u + 1]
-            forbidden = set((self._codes[start:stop] - int(u) * n_items).tolist())
-            saturated = len(forbidden) >= n_items
-            for j in range(n_each):
-                candidate = int(self.rng.integers(0, n_items))
-                if not saturated:
-                    while candidate in forbidden:
-                        candidate = int(self.rng.integers(0, n_items))
-                out[i, j] = candidate
-        return out
-
     def epoch(self, batch_size: int, shuffle: bool = True) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Yield ``(users, pos_items, neg_items)`` batches covering all positives.
 

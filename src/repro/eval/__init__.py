@@ -1,33 +1,18 @@
-"""Evaluation: full-ranking metrics, protocol runner, significance tests."""
+"""Evaluation: full-ranking metrics, coverage/coldness slices, significance tests."""
 
-from .evaluator import EvalResult, evaluate, evaluate_reference, held_out_positives, topk_ranking
-from .protocol import ExperimentResult, run_experiment, run_model
-from .metrics import (
-    ndcg_at_k,
-    ndcg_at_k_reference,
-    rank_topk,
-    rank_topk_reference,
-    recall_at_k,
-    recall_at_k_reference,
-)
+from .evaluator import EvalResult, evaluate, held_out_positives, topk_ranking
+from .metrics import ndcg_at_k, rank_topk, recall_at_k
 from .significance import wilcoxon_improvement
 from .slices import catalog_coverage, evaluate_by_item_coldness, mean_popularity_rank, metrics_at
 
 __all__ = [
     "EvalResult",
     "evaluate",
-    "evaluate_reference",
-    "ExperimentResult",
-    "run_experiment",
-    "run_model",
     "held_out_positives",
     "topk_ranking",
     "recall_at_k",
     "ndcg_at_k",
     "rank_topk",
-    "recall_at_k_reference",
-    "ndcg_at_k_reference",
-    "rank_topk_reference",
     "wilcoxon_improvement",
     "metrics_at",
     "evaluate_by_item_coldness",

@@ -1,15 +1,11 @@
 """Held-out ranking evaluation over a temporal split.
 
-Two implementations of the same protocol live here:
-
-* :func:`evaluate` — the production path: user-chunked score matrices,
-  CSR-vectorised masking of earlier-phase items, and the deterministic
-  batched top-K of :func:`repro.eval.metrics.rank_topk`.
-* :func:`evaluate_reference` — a deliberately naive per-user / per-item
-  Python loop with identical semantics (same masking, same
-  ``(-score, item_id)`` tie rule).  It exists purely as the correctness
-  anchor for the differential test suite and the ``repro.bench`` speedup
-  trajectory; never use it for real workloads.
+:func:`evaluate` scores users in chunks, masks earlier-phase items with
+the CSR-vectorised :func:`repro.eval.metrics.mask_seen` and ranks with the
+deterministic batched top-K of :func:`repro.eval.metrics.rank_topk`.  The
+differential tests pin it to a naive per-user / per-item loop with the
+same masking and the same ``(-score, item_id)`` tie rule
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -19,17 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import InteractionDataset, Split
-from .metrics import (
-    mask_seen,
-    ndcg_at_k,
-    ndcg_at_k_reference,
-    rank_topk,
-    rank_topk_reference,
-    recall_at_k,
-    recall_at_k_reference,
-)
+from .metrics import mask_seen, ndcg_at_k, rank_topk, recall_at_k
 
-__all__ = ["EvalResult", "evaluate", "evaluate_reference", "held_out_positives", "topk_ranking"]
+__all__ = ["EvalResult", "evaluate", "held_out_positives", "topk_ranking"]
 
 
 @dataclass
@@ -150,35 +138,4 @@ def evaluate(
         recall_at_20=recall_at_k(all_topk, pos, ks[1]),
         ndcg_at_10=ndcg_at_k(all_topk, pos, ks[0]),
         ndcg_at_20=ndcg_at_k(all_topk, pos, ks[1]),
-    )
-
-
-def evaluate_reference(
-    model,
-    split: Split,
-    on: str = "test",
-    ks: tuple[int, int] = (10, 20),
-) -> EvalResult:
-    """Per-user loop twin of :func:`evaluate` (correctness anchor, slow).
-
-    Scores one user at a time, masks with a Python loop, ranks with the
-    pure-Python ``rank_topk_reference`` and aggregates with the loop-based
-    reference metrics.  Differential tests assert agreement with
-    :func:`evaluate` to 1e-10.
-    """
-    positives, mask, users = _eval_setup(split, on)
-    k_max = min(max(ks), split.train.n_items)
-    all_topk = np.zeros((len(users), k_max), dtype=np.int64)
-    for i, u in enumerate(users):
-        scores = np.asarray(model.score_users(np.array([u])), dtype=np.float64)[0]
-        for v in mask[int(u)].indices:
-            scores[v] = -np.inf
-        all_topk[i] = rank_topk_reference(scores[None, :], k_max)[0]
-
-    pos = [positives[u] for u in users]
-    return EvalResult(
-        recall_at_10=recall_at_k_reference(all_topk, pos, ks[0]),
-        recall_at_20=recall_at_k_reference(all_topk, pos, ks[1]),
-        ndcg_at_10=ndcg_at_k_reference(all_topk, pos, ks[0]),
-        ndcg_at_20=ndcg_at_k_reference(all_topk, pos, ks[1]),
     )

@@ -11,12 +11,11 @@ id is an explicit, documented tiebreak.  The default ``np.argsort`` (an
 unstable introsort) and ``np.argpartition`` leave the relative order of
 equal scores platform- and layout-dependent, which silently changes
 Recall/NDCG whenever a model emits tied scores (popularity scorers,
-quantised checkpoints, masked ``-inf`` blocks).  Every ranking and metric
-function here has a pure-Python ``*_reference`` twin implementing the same
-contract; the differential test suite pins the vectorised paths to those
-twins.  :func:`mask_seen` is the one seen-item mask shared by the
-evaluator, the server and the staleness harness; its twin is the per-item
-loop in :func:`repro.eval.evaluate_reference`.
+quantised checkpoints, masked ``-inf`` blocks).  The differential tests
+pin every ranking and metric function here to a pure-Python oracle with
+the same contract (``tests/oracles.py``).  :func:`mask_seen` is the one
+seen-item mask shared by the evaluator, the server and the staleness
+harness; its oracle is the per-item loop of the reference evaluator.
 """
 
 from __future__ import annotations
@@ -24,15 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-__all__ = [
-    "recall_at_k",
-    "ndcg_at_k",
-    "rank_topk",
-    "rank_topk_reference",
-    "mask_seen",
-    "recall_at_k_reference",
-    "ndcg_at_k_reference",
-]
+__all__ = ["recall_at_k", "ndcg_at_k", "rank_topk", "mask_seen"]
 
 
 def rank_topk(scores: np.ndarray, k: int) -> np.ndarray:
@@ -72,19 +63,6 @@ def rank_topk(scores: np.ndarray, k: int) -> np.ndarray:
     row = np.arange(n_rows)[:, None]
     order = np.argsort(-scores[row, cols], axis=1, kind="stable")
     return cols[row, order]
-
-
-def rank_topk_reference(scores: np.ndarray, k: int) -> np.ndarray:
-    """Pure-Python twin of :func:`rank_topk` (per-row sort on ``(-s, id)``)."""
-    scores = np.asarray(scores)
-    n_rows, n = scores.shape
-    k = min(k, n)
-    out = np.zeros((n_rows, k), dtype=np.int64)
-    for i in range(n_rows):
-        row = scores[i]
-        order = sorted(range(n), key=lambda j: (-row[j], j))
-        out[i] = order[:k]
-    return out
 
 
 def mask_seen(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray, users) -> None:
@@ -174,28 +152,3 @@ def ndcg_at_k(topk: np.ndarray, positives: list[np.ndarray], k: int) -> float:
     cum = np.concatenate([[0.0], np.cumsum(discounts)])
     idcg = cum[np.minimum(k, n_pos[keep])]
     return float(np.mean(dcg / idcg))
-
-
-def recall_at_k_reference(topk: np.ndarray, positives: list[np.ndarray], k: int) -> float:
-    """Per-user loop twin of :func:`recall_at_k`."""
-    scores = []
-    for row, pos in zip(topk, positives):
-        if len(pos) == 0:
-            continue
-        hits = np.isin(row[:k], pos).sum()
-        scores.append(hits / len(pos))
-    return float(np.mean(scores)) if scores else 0.0
-
-
-def ndcg_at_k_reference(topk: np.ndarray, positives: list[np.ndarray], k: int) -> float:
-    """Per-user loop twin of :func:`ndcg_at_k`."""
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    scores = []
-    for row, pos in zip(topk, positives):
-        if len(pos) == 0:
-            continue
-        rel = np.isin(row[:k], pos).astype(np.float64)
-        dcg = float((rel * discounts[: len(rel)]).sum())
-        idcg = float(discounts[: min(k, len(pos))].sum())
-        scores.append(dcg / idcg)
-    return float(np.mean(scores)) if scores else 0.0

@@ -6,7 +6,6 @@ from .klein import (
     check_klein_point,
     einstein_midpoint,
     einstein_midpoint_batch,
-    einstein_midpoint_batch_reference_np,
     einstein_midpoint_np,
     lorentz_factor,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "check_klein_point",
     "einstein_midpoint",
     "einstein_midpoint_batch",
-    "einstein_midpoint_batch_reference_np",
     "einstein_midpoint_np",
     "lorentz_to_poincare",
     "poincare_to_lorentz",

@@ -19,7 +19,6 @@ __all__ = [
     "lorentz_factor",
     "einstein_midpoint",
     "einstein_midpoint_batch",
-    "einstein_midpoint_batch_reference_np",
     "einstein_midpoint_np",
     "check_klein_point",
 ]
@@ -91,18 +90,6 @@ def einstein_midpoint_batch(points: Tensor, weights: Tensor) -> Tensor:
     w = weights * gamma.reshape(1, -1)  # (b, n)
     denom = w.sum(axis=-1, keepdims=True).clamp(min_value=_EPS)
     return (w @ points) / denom
-
-
-def einstein_midpoint_batch_reference_np(
-    points: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Row-by-row twin of :func:`einstein_midpoint_batch` on raw arrays.
-
-    The batched version computes all midpoints in one matmul; this loops
-    :func:`einstein_midpoint_np` over the ``(b, n)`` weight rows and exists
-    as the correctness anchor for the differential tests and benchmarks.
-    """
-    return np.stack([einstein_midpoint_np(points, w) for w in weights])
 
 
 def einstein_midpoint_np(points: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -99,22 +99,6 @@ class PoincareBall(Manifold):
         """
         return kernels.poincare_dist_matrix(x, y)
 
-    def dist_matrix_reference_np(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Broadcast twin of :meth:`dist_matrix_np` (correctness anchor).
-
-        Deliberately *not* a call into :mod:`repro.kernels`: this is the
-        pinned pure-NumPy anchor the differential suite compares the gram
-        kernel against, so it inlines the direct broadcast form.
-        """
-        xb = x[:, None, :]
-        yb = y[None, :, :]
-        diff_sq = np.sum((xb - yb) ** 2, axis=-1)
-        x_sq = np.sum(xb * xb, axis=-1)
-        y_sq = np.sum(yb * yb, axis=-1)
-        denom = np.maximum(1.0 - x_sq, _BOUNDARY_EPS) * np.maximum(1.0 - y_sq, _BOUNDARY_EPS)
-        arg = 1.0 + 2.0 * diff_sq / denom
-        return np.arccosh(np.maximum(arg, 1.0))
-
     # ------------------------------------------------------------------
     # Origin maps (handy for initialisation and tests)
     # ------------------------------------------------------------------

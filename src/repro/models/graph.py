@@ -7,9 +7,9 @@ layer outputs are combined by the *global aggregation* of Eq. 14.
 The normalised adjacency matrices are precomputed **once** as scipy CSR
 payloads in the constructor and reused across every propagation call (and
 hence every training epoch); each layer is then a single sparse matmul
-instead of a gather/scatter pass over the edge list.  The original
-edge-scatter implementations are kept as ``*_reference`` methods — the
-differential test suite pins the sparse fast path to them.
+instead of a gather/scatter pass over the edge list.  The differential
+tests pin the sparse fast path to the original edge-scatter form, which
+lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from ..autodiff import Tensor, scatter_mean_rows
+from ..autodiff import Tensor
 from ..data import InteractionDataset
 
 __all__ = ["BipartiteGraph"]
@@ -84,54 +84,21 @@ class BipartiteGraph:
         return new_users, new_items
 
     # ------------------------------------------------------------------
-    # Reference (edge-scatter) implementations — correctness anchors only.
-    # ------------------------------------------------------------------
-    def propagate_mean_reference(
-        self, user_x: Tensor, item_x: Tensor
-    ) -> tuple[Tensor, Tensor]:
-        """Edge-scatter twin of :meth:`propagate_mean`."""
-        new_users = scatter_mean_rows(
-            item_x.take_rows(self.edge_items), self.edge_users, self.n_users
-        )
-        new_items = scatter_mean_rows(
-            user_x.take_rows(self.edge_users), self.edge_items, self.n_items
-        )
-        return new_users, new_items
-
-    def propagate_sym_reference(
-        self, user_x: Tensor, item_x: Tensor
-    ) -> tuple[Tensor, Tensor]:
-        """Edge-scatter twin of :meth:`propagate_sym`."""
-        w = Tensor(self._sym[:, None])
-        msgs_to_users = item_x.take_rows(self.edge_items) * w
-        msgs_to_items = user_x.take_rows(self.edge_users) * w
-        new_users = _scatter_sum(msgs_to_users, self.edge_users, self.n_users)
-        new_items = _scatter_sum(msgs_to_items, self.edge_items, self.n_items)
-        return new_users, new_items
-
-    # ------------------------------------------------------------------
     def residual_gcn(
         self,
         user_x: Tensor,
         item_x: Tensor,
         n_layers: int,
         norm: str = "sym",
-        reference: bool = False,
     ) -> tuple[Tensor, Tensor]:
         """Paper Eqs. 13–14: residual layers, summed over l = 1..L.
 
         ``norm`` selects the neighbour weighting: ``"mean"`` is the paper's
         1/|N| form; ``"sym"`` is the 1/sqrt(|N_u||N_v|) normalisation used
         by HGCF's released implementation (and LightGCN), which behaves
-        better on degree-skewed graphs.  ``reference=True`` swaps in the
-        edge-scatter propagation (for differential tests/benchmarks).
+        better on degree-skewed graphs.
         """
-        if reference:
-            propagate = (
-                self.propagate_sym_reference if norm == "sym" else self.propagate_mean_reference
-            )
-        else:
-            propagate = self.propagate_sym if norm == "sym" else self.propagate_mean
+        propagate = self.propagate_sym if norm == "sym" else self.propagate_mean
         zu, zv = user_x, item_x
         sum_u: Tensor | None = None
         sum_v: Tensor | None = None
@@ -157,14 +124,3 @@ class BipartiteGraph:
             acc_v = acc_v + zv
         scale = 1.0 / (n_layers + 1)
         return acc_u * scale, acc_v * scale
-
-
-def _scatter_sum(values: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
-    """Sum-pool rows of ``values`` into ``n_rows`` buckets by ``index``."""
-    data = np.zeros((n_rows, values.data.shape[1]), dtype=np.float64)
-    np.add.at(data, index, values.data)
-
-    def vjp(g):
-        return (g[index],)
-
-    return Tensor._from_op(data, (values,), vjp)

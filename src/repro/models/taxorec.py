@@ -48,7 +48,7 @@ from ..taxonomy import Taxonomy, build_taxonomy, taxonomy_regularizer
 from .base import Recommender, TrainConfig
 from .graph import BipartiteGraph
 
-__all__ = ["TaxoRec", "personalized_tag_weights", "personalized_tag_weights_reference"]
+__all__ = ["TaxoRec", "personalized_tag_weights"]
 
 
 def personalized_tag_weights(train: InteractionDataset) -> np.ndarray:
@@ -61,8 +61,7 @@ def personalized_tag_weights(train: InteractionDataset) -> np.ndarray:
 
     Computed in one pass over the interaction CSR: per-user tag totals are
     ``X @ |T_v|`` and per-user tag unions count the nonzeros of
-    ``X @ Ψ``; the per-user Python loop survives as
-    :func:`personalized_tag_weights_reference`.
+    ``X @ Ψ``.
     """
     x = train.interaction_matrix()  # binary (n_users, n_items) CSR
     n_per_user = np.asarray(x.sum(axis=1)).ravel()
@@ -72,23 +71,6 @@ def personalized_tag_weights(train: InteractionDataset) -> np.ndarray:
     alpha = np.full(train.n_users, 0.5)
     ok = (n_per_user > 0) & (unions > 0)
     alpha[ok] = totals[ok] / (n_per_user[ok] * unions[ok])
-    return np.clip(alpha, 0.0, 1.0)
-
-
-def personalized_tag_weights_reference(train: InteractionDataset) -> np.ndarray:
-    """Per-user loop twin of :func:`personalized_tag_weights`."""
-    alpha = np.full(train.n_users, 0.5)
-    per_user = train.items_of_user()
-    tag_counts = train.item_tags.sum(axis=1)
-    for u, items in enumerate(per_user):
-        if len(items) == 0:
-            continue
-        items = np.unique(items)
-        total = tag_counts[items].sum()
-        union = (train.item_tags[items].sum(axis=0) > 0).sum()
-        if union == 0:
-            continue
-        alpha[u] = total / (len(items) * union)
     return np.clip(alpha, 0.0, 1.0)
 
 

@@ -53,11 +53,12 @@ from .errors import (
     UnknownScoreFnError,
 )
 from .http import ServiceHTTPServer, create_server, serve_until_drained
-from .pool import ArtifactWatcher, WorkerPool
+from .pool import WorkerPool
 from .router import RouterHTTPServer, ShardedService, create_router
 from .scoring import SCORE_FNS, FrozenScorer
 from .service import RecommenderService
 from .shared import (
+    ArtifactWatcher,
     artifact_fingerprint,
     export_shared,
     load_shared,

@@ -14,6 +14,12 @@ shard router (``repro.serve.router``); point it at a shared bundle
 directory (``--shared`` export) and the workers mmap one physical copy
 of the score arrays.
 
+``--hot-swap-poll SECS`` works in either mode: the single process, or
+each pool worker, polls the artifact path (usually a link kept by
+:func:`~repro.serve.shared.publish_artifact`) and hot-swaps when its
+target changes.  It is refused together with ``--fold-in``, whose folded
+rows the first swap would drop.
+
 ``--max-requests N`` bounds either mode for smoke tests: the server
 counts *completed responses* and drains cleanly — the Nth reply is fully
 written before the process exits (see ``repro.serve.http``).
@@ -29,6 +35,7 @@ from .artifact import export_from_checkpoint, load_artifact
 from .errors import ServeError
 from .http import create_server, serve_until_drained
 from .service import RecommenderService
+from .shared import ArtifactWatcher
 
 __all__ = ["export_main", "serve_main", "build_export_parser", "build_serve_parser"]
 
@@ -83,7 +90,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         "up to B per shard (0 disables)")
     parser.add_argument("--hot-swap-poll", type=float, default=0.0, metavar="SECS",
                         help="poll the artifact path every SECS seconds and hot-swap "
-                        "when its target changes (0 disables; workers only)")
+                        "when its target changes (0 disables)")
     parser.add_argument("--fold-in", default=None, metavar="EVENTS",
                         help="repro.events/v1 JSON file folded into the loaded "
                         "artifact before serving (repro.stream; single-process only)")
@@ -111,7 +118,11 @@ def export_main(argv: list[str]) -> int:
         from .shared import export_shared
 
         bundle = Path(str(out)[: -len(".npz")] if str(out).endswith(".npz") else f"{out}.bundle")
-        export_shared(artifact, bundle)
+        try:
+            export_shared(artifact, bundle)
+        except ServeError as exc:
+            print(f"export failed: {exc}", file=sys.stderr)
+            return 2
         load_shared_check = load_artifact(bundle)  # same self-check as the .npz
         print(f"shared bundle ({load_shared_check.model_name}, mmap-able) → {bundle}")
     return 0
@@ -142,6 +153,10 @@ def _serve_single(args) -> int:
     server = create_server(
         service, host=args.host, port=args.port, max_requests=args.max_requests
     )
+    watcher = None
+    if args.hot_swap_poll > 0:
+        watcher = ArtifactWatcher(args.artifact, service, poll_s=args.hot_swap_poll)
+        watcher.start()
     host, port = server.server_address[:2]
     print(
         f"serving {service.artifact.model_name} (score_fn={service.artifact.score_fn}) "
@@ -156,6 +171,8 @@ def _serve_single(args) -> int:
     except KeyboardInterrupt:
         print("shutting down")
     finally:
+        if watcher is not None:
+            watcher.stop()
         server.server_close()
     return 0
 
@@ -213,9 +230,13 @@ def serve_main(argv: list[str]) -> int:
     if args.workers < 0:
         print("--workers must be >= 0", file=sys.stderr)
         return 2
+    if args.fold_in and args.workers > 0:
+        print("--fold-in requires single-process serving (--workers 0)", file=sys.stderr)
+        return 2
+    if args.fold_in and args.hot_swap_poll > 0:
+        # The first swap would load the published artifact and drop the folded rows.
+        print("--fold-in cannot be combined with --hot-swap-poll", file=sys.stderr)
+        return 2
     if args.workers > 0:
-        if args.fold_in:
-            print("--fold-in requires single-process serving (--workers 0)", file=sys.stderr)
-            return 2
         return _serve_pool(args)
     return _serve_single(args)

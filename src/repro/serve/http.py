@@ -42,6 +42,7 @@ from .artifact import MODEL_SCHEMA
 from .errors import BadRequestError, ServeError
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "JSONHTTPServer",
     "JSONRequestHandler",
     "ServiceHTTPServer",
@@ -50,6 +51,11 @@ __all__ = [
 ]
 
 logger = get_logger("repro.serve.http")
+
+# Largest POST body read (8 MiB, ~900k item ids in a /score call).  The
+# length is checked before reading: a buffered read(n) allocates n bytes
+# up front, and a negative n would read until the peer closes.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -167,6 +173,11 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
         except ValueError as exc:
             raise BadRequestError("invalid Content-Length header") from exc
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body would desync keep-alive
+            raise BadRequestError(
+                f"Content-Length must be between 0 and {MAX_BODY_BYTES} bytes, got {length}"
+            )
         raw = self.rfile.read(length) if length else b""
         try:
             body = json.loads(raw.decode("utf-8") or "{}")

@@ -14,13 +14,14 @@ imported in the parent, so a worker is serving in milliseconds, and on
 platforms without ``fork`` the pool degrades to the default context.
 
 Hot deploys: with ``hot_swap_poll_s > 0`` every worker runs an
-:class:`ArtifactWatcher` thread that polls the artifact path's resolved
-fingerprint (``(path, inode, mtime_ns)``).  When a publisher flips the
-symlink (:func:`~repro.serve.shared.publish_artifact`), each worker
-reloads and :meth:`swap_artifact`'s atomically — in-flight requests
-finish on the old snapshot (its mmaps stay alive until released), new
-requests see the new one, and no response is ever torn
-(``tests/test_serve_pool.py`` hammers a pool through a swap under load).
+:class:`~repro.serve.shared.ArtifactWatcher` thread that polls the
+artifact path's resolved fingerprint (``(path, inode, mtime_ns)``).
+When a publisher flips the symlink
+(:func:`~repro.serve.shared.publish_artifact`), each worker reloads and
+:meth:`swap_artifact`'s atomically — in-flight requests finish on the
+old snapshot (its mmaps stay alive until released), new requests see the
+new one, and no response is ever torn (``tests/test_serve_pool.py``
+hammers a pool through a swap under load).
 
 Shutdown is SIGTERM → ``server_close`` in the worker; :meth:`stop` joins
 every process and escalates to SIGKILL only if a worker ignores the
@@ -32,69 +33,15 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import sys
-import threading
-from pathlib import Path
 
-from ..utils import get_logger
 from .errors import ArtifactError, ServeError
-from .shared import artifact_fingerprint
+from .shared import ArtifactWatcher
 from .sharding import ShardMap
 
-__all__ = ["WorkerPool", "ArtifactWatcher"]
-
-logger = get_logger("repro.serve.pool")
+__all__ = ["WorkerPool"]
 
 _START_TIMEOUT_S = 120.0
 _STOP_GRACE_S = 10.0
-
-
-class ArtifactWatcher(threading.Thread):
-    """Poll an artifact path; hot-swap the service when the target changes.
-
-    The watched path is usually a symlink maintained by
-    :func:`~repro.serve.shared.publish_artifact`; the fingerprint tracks
-    the *resolved* target, so a symlink flip (or an in-place rewrite) is
-    detected on the next poll.  A failed reload keeps serving the old
-    snapshot and retries on the next change.
-    """
-
-    def __init__(self, path, service, poll_s: float = 1.0):
-        super().__init__(name="repro-serve-artifact-watcher", daemon=True)
-        self.path = Path(path)
-        self.service = service
-        self.poll_s = float(poll_s)
-        self.swaps = 0
-        self._stop_event = threading.Event()
-        self._fingerprint = artifact_fingerprint(self.path)
-
-    def run(self) -> None:
-        while not self._stop_event.wait(self.poll_s):
-            self.check_once()
-
-    def check_once(self) -> bool:
-        """One poll: swap if the artifact moved.  Returns True on a swap."""
-        try:
-            fingerprint = artifact_fingerprint(self.path)
-        except OSError:
-            return False  # mid-flip or missing; next poll sees the new target
-        if fingerprint == self._fingerprint:
-            return False
-        try:
-            version = self.service.swap_artifact(self.path)
-        except ServeError as exc:
-            logger.error("hot-swap of %s failed, still serving old snapshot: %s",
-                         self.path, exc)
-            self._fingerprint = fingerprint  # don't retry a bad artifact every poll
-            return False
-        self._fingerprint = fingerprint
-        self.swaps += 1
-        logger.info("hot-swapped %s → artifact version %d", self.path, version)
-        return True
-
-    def stop(self) -> None:
-        self._stop_event.set()
-        if self.is_alive():
-            self.join(timeout=self.poll_s + 5)
 
 
 def _worker_main(

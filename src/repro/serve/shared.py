@@ -18,12 +18,17 @@ workers shares **one** physical copy of the score arrays, copy-on-read
 and read-only (the maps are ``r``-mode; writes raise).  BLAS reads the
 maps directly — no materialisation.
 
+A bundle is never rewritten in place: :func:`export_shared` builds the
+new one in a sibling directory and renames it over the old, whose files
+stay readable through any open maps until the last one closes.
+
 Deployment is an atomic symlink flip: ``publish_artifact`` points a
 well-known link at a new bundle (or ``.npz``) with ``os.replace``, which
 POSIX guarantees is atomic — a reader either resolves the old target or
-the new one, never a half-written path.  Workers watch the link's
-resolved fingerprint and :meth:`~RecommenderService.swap_artifact` on
-change; in-flight requests keep the old mmap alive until they finish
+the new one, never a half-written path.  A server started with
+``--hot-swap-poll`` runs an :class:`ArtifactWatcher` that polls the
+link's resolved fingerprint and :meth:`~RecommenderService.swap_artifact`
+on change; in-flight requests keep the old mmap alive until they finish
 (the unlinked files stay readable through the open maps), so a deploy
 never tears a response.
 """
@@ -32,19 +37,26 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import threading
+import uuid
 from pathlib import Path
 
 import numpy as np
 
 from ..families import FAMILIES
-from .errors import ArtifactError, SchemaMismatchError
+from ..utils import get_logger
+from .errors import ArtifactError, SchemaMismatchError, ServeError
 
 __all__ = [
     "export_shared",
     "load_shared",
     "publish_artifact",
     "artifact_fingerprint",
+    "ArtifactWatcher",
 ]
+
+logger = get_logger("repro.serve.shared")
 
 _META_FILE = "meta.json"
 _TAGS_FILE = "tag_names.json"
@@ -55,26 +67,53 @@ def export_shared(source, out_dir) -> Path:
     """Explode one artifact (``.npz`` path or ``ModelArtifact``) into a bundle.
 
     The bundle carries the identical metadata document and arrays; it is
-    re-validated on load exactly like the ``.npz`` form.  Returns the
-    bundle directory.
+    re-validated on load exactly like the ``.npz`` form.  It is written
+    into a fresh sibling directory and renamed into place, so an existing
+    bundle at ``out_dir`` is replaced, never rewritten: a service that
+    mmap-loaded it keeps reading the old bytes, and the new directory
+    moves :func:`artifact_fingerprint`.  An empty directory is replaced
+    the same way; any other existing ``out_dir`` raises
+    :class:`ArtifactError` and is left untouched.  Returns the bundle
+    directory.
     """
     from .artifact import ModelArtifact, load_artifact
 
     if not isinstance(source, ModelArtifact):
         source = load_artifact(Path(source))
     out_dir = Path(out_dir)
-    arrays_dir = out_dir / _ARRAYS_DIR
-    arrays_dir.mkdir(parents=True, exist_ok=True)
-    for name, arr in source.arrays.items():
+    is_bundle = out_dir.is_dir() and (out_dir / _META_FILE).is_file()
+    is_empty_dir = out_dir.is_dir() and not any(out_dir.iterdir())
+    if out_dir.is_symlink() or (out_dir.exists() and not (is_bundle or is_empty_dir)):
+        raise ArtifactError(
+            f"refusing to export a bundle over {out_dir}: it exists and is neither "
+            "a shared bundle nor an empty directory"
+        )
+    for name in source.arrays:
         if Path(name).name != name:
             raise SchemaMismatchError(f"array name {name!r} is not a plain filename")
-        np.save(arrays_dir / f"{name}.npy", np.ascontiguousarray(arr))
-    np.save(out_dir / "seen_indptr.npy", np.asarray(source.seen_indptr, dtype=np.int64))
-    np.save(out_dir / "seen_indices.npy", np.asarray(source.seen_indices, dtype=np.int64))
-    (out_dir / _TAGS_FILE).write_text(json.dumps(source.tag_names), encoding="utf-8")
-    (out_dir / _META_FILE).write_text(
-        json.dumps(source.meta, indent=2, sort_keys=False), encoding="utf-8"
-    )
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    # Same directory, hence same filesystem: both renames below are atomic.
+    build = out_dir.parent / f".{out_dir.name}.export-{uuid.uuid4().hex}"
+    retired = out_dir.parent / f".{out_dir.name}.retired-{uuid.uuid4().hex}"
+    try:
+        (build / _ARRAYS_DIR).mkdir(parents=True)
+        for name, arr in source.arrays.items():
+            np.save(build / _ARRAYS_DIR / f"{name}.npy", np.ascontiguousarray(arr))
+        np.save(build / "seen_indptr.npy", np.asarray(source.seen_indptr, dtype=np.int64))
+        np.save(build / "seen_indices.npy", np.asarray(source.seen_indices, dtype=np.int64))
+        (build / _TAGS_FILE).write_text(json.dumps(source.tag_names), encoding="utf-8")
+        (build / _META_FILE).write_text(
+            json.dumps(source.meta, indent=2, sort_keys=False), encoding="utf-8"
+        )
+        if is_bundle:
+            os.rename(out_dir, retired)
+        os.rename(build, out_dir)
+    except BaseException:
+        shutil.rmtree(build, ignore_errors=True)
+        raise
+    if is_bundle:
+        # Open maps of the retired bundle keep its unlinked files readable.
+        shutil.rmtree(retired, ignore_errors=True)
     return out_dir
 
 
@@ -173,3 +212,54 @@ def artifact_fingerprint(path) -> tuple[str, int, int]:
     resolved = Path(path).resolve()
     stat = resolved.stat()
     return (str(resolved), stat.st_ino, stat.st_mtime_ns)
+
+
+class ArtifactWatcher(threading.Thread):
+    """Poll an artifact path; hot-swap the service when the target changes.
+
+    The watched path is usually a symlink maintained by
+    :func:`publish_artifact`; the fingerprint tracks the *resolved* target,
+    so a symlink flip (or a bundle replaced by :func:`export_shared`) is
+    detected on the next poll.  A failed reload keeps serving the old
+    snapshot and retries on the next change.  ``repro serve
+    --hot-swap-poll`` runs one in the single process and one in every
+    pool worker.
+    """
+
+    def __init__(self, path, service, poll_s: float = 1.0):
+        super().__init__(name="repro-serve-artifact-watcher", daemon=True)
+        self.path = Path(path)
+        self.service = service
+        self.poll_s = float(poll_s)
+        self.swaps = 0
+        self._stop_event = threading.Event()
+        self._fingerprint = artifact_fingerprint(self.path)
+
+    def run(self) -> None:
+        while not self._stop_event.wait(self.poll_s):
+            self.check_once()
+
+    def check_once(self) -> bool:
+        """One poll: swap if the artifact moved.  Returns True on a swap."""
+        try:
+            fingerprint = artifact_fingerprint(self.path)
+        except OSError:
+            return False  # mid-flip or missing; next poll sees the new target
+        if fingerprint == self._fingerprint:
+            return False
+        try:
+            version = self.service.swap_artifact(self.path)
+        except ServeError as exc:
+            logger.error("hot-swap of %s failed, still serving old snapshot: %s",
+                         self.path, exc)
+            self._fingerprint = fingerprint  # don't retry a bad artifact every poll
+            return False
+        self._fingerprint = fingerprint
+        self.swaps += 1
+        logger.info("hot-swapped %s → artifact version %d", self.path, version)
+        return True
+
+    def stop(self) -> None:
+        self._stop_event.set()
+        if self.is_alive():
+            self.join(timeout=self.poll_s + 5)

@@ -19,9 +19,9 @@ The online half of ROADMAP item 3: everything between two full retrains.
   ``s(t, G_k)`` routing (paper Eq. 7) with the deterministic
   ``(-score, id)`` tiebreak; Einstein-midpoint embedding placement.
 * :mod:`~repro.stream.staleness` — the fold-in-vs-retrain replay
-  harness behind ``repro.bench --cases stream`` and ``BENCH_stream.json``.
+  harness behind ``python -m repro.bench`` and ``BENCH_stream.json``.
 
-CLI: ``python -m repro stream {fold,replay,bench}`` and
+CLI: ``python -m repro stream {fold,replay}`` and
 ``python -m repro serve --fold-in events.json``.
 """
 

@@ -14,10 +14,8 @@ Subcommands:
 
         python -m repro stream replay --model cml --preset ciao --windows 2
 
-``bench``
-    The paired latency benchmark (``repro.bench --cases stream``)::
-
-        python -m repro stream bench --quick --out benchmarks/results/BENCH_stream_smoke.json
+The paired fold-in vs retrain latency of the same replay is
+``python -m repro.bench`` (``BENCH_stream.json``).
 """
 
 from __future__ import annotations
@@ -51,11 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--epochs", type=int, default=30)
     replay.add_argument("--seed", type=int, default=0)
     replay.add_argument("--out", default=None, help="write the replay summary as JSON")
-
-    bench = sub.add_parser("bench", help="paired fold-in vs retrain latency benchmark")
-    bench.add_argument("--quick", action="store_true", help="CI smoke workloads")
-    bench.add_argument("--out", default=None, help="result path (default: BENCH_stream.json)")
-    bench.add_argument("--repeats", type=int, default=None)
     return parser
 
 
@@ -120,23 +113,8 @@ def _replay(args) -> int:
     return 0
 
 
-def _bench(args) -> int:
-    from ..bench.cli import main as bench_main
-
-    argv = ["--cases", "stream"]
-    if args.quick:
-        argv.append("--quick")
-    if args.out:
-        argv.extend(["--out", args.out])
-    if args.repeats is not None:
-        argv.extend(["--repeats", str(args.repeats)])
-    return bench_main(argv)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "fold":
         return _fold(args)
-    if args.command == "replay":
-        return _replay(args)
-    return _bench(args)
+    return _replay(args)

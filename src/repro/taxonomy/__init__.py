@@ -4,7 +4,7 @@ from .builder import build_taxonomy
 from .export import from_dict, load_json, save_json, to_dict, to_networkx
 from .labeling import label_taxonomy, node_label
 from .visualize import poincare_disc_svg, save_svg
-from .clustering import adaptive_cluster, poincare_kmeans, poincare_kmeans_reference
+from .clustering import adaptive_cluster, poincare_kmeans
 from .metrics import (
     RecoveryReport,
     ancestor_f1,
@@ -30,7 +30,6 @@ __all__ = [
     "label_taxonomy",
     "save_svg",
     "poincare_kmeans",
-    "poincare_kmeans_reference",
     "adaptive_cluster",
     "score_tags",
     "argmax_tiebreak",

@@ -8,27 +8,22 @@ usage cited by the paper [34].
 :func:`poincare_kmeans` is the vectorised production path: assignment uses
 the Gram-matrix pairwise-distance kernel of
 :meth:`~repro.manifolds.PoincareBall.dist_matrix_np` and centroid updates
-scatter all points into their clusters in one pass.
-:func:`poincare_kmeans_reference` replays the identical algorithm (same RNG
-consumption, same reseeding rule) with per-point/per-centroid Python loops;
-the differential tests pin the fast path to it.
+scatter all points into their clusters in one pass.  The differential
+tests pin it to a replay of the identical algorithm (same RNG consumption,
+same reseeding rule) with per-point/per-centroid Python loops
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..manifolds import (
-    PoincareBall,
-    einstein_midpoint_np,
-    klein_to_poincare_np,
-    poincare_to_klein_np,
-)
+from ..manifolds import PoincareBall, klein_to_poincare_np, poincare_to_klein_np
 from ..constants import EPS as _EPS
 from ..utils import ensure_rng
 from .scoring import group_item_sets, score_tags
 
-__all__ = ["poincare_kmeans", "poincare_kmeans_reference", "adaptive_cluster"]
+__all__ = ["poincare_kmeans", "adaptive_cluster"]
 
 _BALL = PoincareBall()
 
@@ -41,8 +36,8 @@ def _seed_centroids(
 ) -> np.ndarray:
     """k-means++ seeding under the hyperbolic metric.
 
-    ``dist_matrix`` is injected so the fast and reference paths consume the
-    RNG identically while using their own distance kernels.
+    ``dist_matrix`` is injected so the fast path and its test oracle
+    consume the RNG identically while using their own distance kernels.
     """
     n = len(points)
     centroids = [points[rng.integers(n)]]
@@ -122,63 +117,6 @@ def poincare_kmeans(
             far = dist_matrix.min(axis=1).argmax()
             new_centroids[empty] = points[far]
         shift = _BALL.dist_np(centroids, new_centroids).max()
-        centroids = new_centroids
-        if shift < tol:
-            break
-    return assignments, centroids
-
-
-def poincare_kmeans_reference(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator | int | None = 0,
-    n_iter: int = 25,
-    tol: float = 1e-6,
-    init_centroids: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point/per-centroid loop twin of :func:`poincare_kmeans`.
-
-    Same contract, same RNG consumption and same reseeding rule, but every
-    distance is a scalar evaluation and every midpoint a per-cluster call —
-    the correctness anchor for the differential tests and the
-    ``repro.bench`` speedup trajectory.
-    """
-    rng = ensure_rng(rng)
-    n = len(points)
-    if n == 0:
-        return np.array([], dtype=np.int64), np.zeros((0, points.shape[1]))
-    k = min(k, n)
-
-    def dist_matrix_loops(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(x), len(y)))
-        for i in range(len(x)):
-            for j in range(len(y)):
-                out[i, j] = _BALL.dist_np(x[i], y[j])
-        return out
-
-    if init_centroids is not None:
-        centroids = np.asarray(init_centroids, dtype=np.float64).copy()
-        k = len(centroids)
-    else:
-        centroids = _seed_centroids(points, k, rng, dist_matrix_loops)
-
-    assignments = np.zeros(n, dtype=np.int64)
-    for _ in range(n_iter):
-        dist_matrix = dist_matrix_loops(points, centroids)
-        assignments = dist_matrix.argmin(axis=1)
-        new_centroids = centroids.copy()
-        for c in range(k):
-            mask = assignments == c
-            if not mask.any():
-                far = dist_matrix.min(axis=1).argmax()
-                new_centroids[c] = points[far]
-                continue
-            klein = poincare_to_klein_np(points[mask])
-            mid = einstein_midpoint_np(klein, np.ones(int(mask.sum())))
-            new_centroids[c] = _BALL.proj(klein_to_poincare_np(mid[None, :]))[0]
-        shift = max(
-            _BALL.dist_np(centroids[c], new_centroids[c]) for c in range(k)
-        )
         centroids = new_centroids
         if shift < tol:
             break

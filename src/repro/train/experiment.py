@@ -201,7 +201,7 @@ def run_staleness_experiment(
     (:mod:`repro.stream.staleness`).  The per-window metric decay of
     fold-in against a periodic full retrain (and the untouched frozen
     baseline) lands in ``<out_dir>/staleness.json``; the paired *latency*
-    side of the same trade is measured by ``repro.bench --cases stream``.
+    side of the same trade is measured by ``python -m repro.bench``.
     """
     from ..stream.staleness import StalenessConfig, replay
 

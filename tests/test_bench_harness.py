@@ -9,7 +9,6 @@ import pytest
 from repro.bench import (
     SCHEMA,
     BenchCase,
-    hotpath_cases,
     run_cases,
     time_callable,
     validate_result,
@@ -107,19 +106,7 @@ class TestValidateAndWrite:
             write_result({"schema": "nope"}, tmp_path / "bad.json")
 
 
-class TestHotpathRegistryAndCLI:
-    def test_registry_names_cover_the_four_hot_paths(self):
-        names = {c.name for c in hotpath_cases()}
-        for expected in (
-            "evaluator.topk",
-            "sampling.negatives",
-            "taxorec.einstein_midpoint",
-            "taxorec.gcn_propagation",
-            "clustering.poincare_kmeans",
-        ):
-            assert expected in names
-        assert all(c.reference is not None for c in hotpath_cases())
-
+class TestCLI:
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
         assert not args.quick and args.only is None and args.out is None
@@ -127,17 +114,18 @@ class TestHotpathRegistryAndCLI:
     def test_cli_list(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "evaluator.topk" in out and "paired" in out
+        assert "stream.window0.foldin_vs_retrain" in out and "paired" in out
 
     def test_cli_quick_writes_valid_json(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_smoke.json"
-        code = main(["--quick", "--only", "topk", "--repeats", "1", "--out", str(out_path)])
+        out_path = tmp_path / "BENCH_stream_smoke.json"
+        code = main(["--quick", "--only", "window0", "--repeats", "1", "--out", str(out_path)])
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert validate_result(doc) == []
-        assert doc["suite"] == "smoke" and doc["quick"] is True
-        assert [r["name"] for r in doc["benchmarks"]] == ["evaluator.topk"]
-        assert "evaluator.topk" in capsys.readouterr().out
+        assert doc["suite"] == "stream_smoke" and doc["quick"] is True
+        assert [r["name"] for r in doc["benchmarks"]] == ["stream.window0.foldin_vs_retrain"]
+        assert set(doc["benchmarks"][0]["workload"]["ndcg_at_10"]) == {"fold_in", "retrain", "frozen"}
+        assert "stream.window0.foldin_vs_retrain" in capsys.readouterr().out
 
     def test_cli_unmatched_filter_returns_error(self, tmp_path):
         assert main(["--quick", "--only", "zzz", "--out", str(tmp_path / "x.json")]) == 2

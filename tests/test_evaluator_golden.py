@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticConfig, generate, temporal_split
-from repro.eval import evaluate, evaluate_reference, rank_topk, rank_topk_reference
+from repro.eval import evaluate, rank_topk
+
+from .oracles import evaluate_reference, rank_topk_reference
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_eval.npz"
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.autodiff import Tensor, check_gradients
 from repro.models import AGCN, HGCF, NGCF, LightGCN, NeuMF, TrainConfig
-from repro.models.graph import _scatter_sum
+
+from .oracles import _scatter_sum
 
 CFG = dict(dim=16, tag_dim=4, epochs=1, batch_size=256, seed=0)
 

@@ -9,6 +9,7 @@ and CI drive it.
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 import urllib.request
@@ -50,6 +51,14 @@ class TestExportCLI:
         np.savez(bad, w=np.zeros(3))
         assert export_main([str(bad), "--out", str(tmp_path / "o.npz")]) == 2
         assert "export failed" in capsys.readouterr().err
+
+    def test_shared_bundle_never_replaces_the_run_dir(self, tiny_run_dir, tmp_path, capsys):
+        # --out runs/x.npz --shared names the bundle runs/x: the run dir itself.
+        run = shutil.copytree(tiny_run_dir, tmp_path / "run")
+        before = sorted(p.name for p in run.iterdir())
+        assert export_main([str(run), "--out", str(tmp_path / "run.npz"), "--shared"]) == 2
+        assert "export failed" in capsys.readouterr().err
+        assert sorted(p.name for p in run.iterdir()) == before
 
 
 class TestServeCLI:

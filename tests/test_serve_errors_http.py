@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 from pathlib import Path
 
@@ -106,6 +107,18 @@ def _request(base: tuple[str, int], method: str, path: str, body=None) -> tuple[
 
 def _get(base: tuple[str, int], path: str) -> tuple[int, dict]:
     return _request(base, "GET", path)
+
+
+def _score_with_length(base: tuple[str, int], length: int) -> tuple[int, dict]:
+    """``POST /score`` over a raw socket with a hand-written Content-Length and no body."""
+    with socket.create_connection(base, timeout=5) as sock:
+        sock.sendall(
+            f"POST /score HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode("ascii")
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read().decode("utf-8"))
 
 
 class TestWireMapping:
@@ -202,6 +215,15 @@ class TestRealPaths:
         for front, base in golden_fronts.items():
             status, reply = _request(base, "POST", "/score", body)
             assert (status, reply.get("type")) == (400, "BadRequestError"), (front, reply)
+
+    @pytest.mark.parametrize("length", [-1, 10**15], ids=["negative", "beyond-max"])
+    def test_out_of_range_content_length_is_400_on_both_front_ends(self, golden_fronts, length):
+        # A negative length used to hold the handler until the socket timed
+        # out; a huge one allocated it up front (500 MemoryError).
+        for front, base in golden_fronts.items():
+            status, reply = _score_with_length(base, length)
+            assert (status, reply.get("type")) == (400, "BadRequestError"), (front, reply)
+            assert _get(base, "/health")[0] == 200, front
 
     def test_misrouted_user_is_421_on_the_wire(self, real_base):
         from repro.serve import shard_for_user

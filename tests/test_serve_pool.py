@@ -5,11 +5,12 @@ sockets.  Three contracts are locked here:
 
 * **Parity** — a ``workers × shards`` pool answers every user with
   exactly the bytes a single in-process service would produce;
-* **Hot swap under load** — while clients hammer the router, an atomic
-  symlink flip deploys a new artifact; every response observed during
-  the deploy must match *entirely* the old artifact or *entirely* the
-  new one (a response matching neither is a torn read), and the pool
-  must converge to the new artifact;
+* **Hot swap under load** — while clients hammer the router (or a
+  single-process ``repro serve --hot-swap-poll``), an atomic symlink flip
+  deploys a new artifact; every response observed during the deploy must
+  match *entirely* the old artifact or *entirely* the new one (a response
+  matching neither is a torn read), and the server must converge to the
+  new artifact;
 * **Bounded drain** — ``max_requests=N`` completes exactly N responses,
   every one fully written, even when all N arrive concurrently (the
   regression that motivated counting completed responses instead of
@@ -22,8 +23,11 @@ import http.client
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,8 @@ from repro.serve import (
     serve_until_drained,
     shard_for_user,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +101,33 @@ def router_for(artifacts):
     yield start
     for cleanup in reversed(cleanups):
         cleanup()
+
+
+@pytest.fixture()
+def single_for():
+    """Factory: ``python -m repro serve <path> --port 0 ...`` as a subprocess."""
+    processes = []
+
+    def start(artifact_path, *flags):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(artifact_path), "--port", "0", *flags],
+            cwd=REPO,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        processes.append(process)
+        banner = process.stdout.readline()
+        if " on http://" not in banner:
+            pytest.fail(f"repro serve did not start: {banner}{process.stderr.read()}")
+        host, port = banner.strip().rsplit("http://", 1)[1].rsplit(":", 1)
+        return host, int(port)
+
+    yield start
+    for process in processes:
+        process.terminate()
+        process.communicate(timeout=10)  # reaps the process and closes its pipes
 
 
 class TestPoolParity:
@@ -169,12 +202,16 @@ class TestPoolParity:
 
 
 class TestHotSwapUnderLoad:
-    def test_no_torn_responses_and_convergence(self, artifacts, router_for):
+    @pytest.mark.parametrize("front", ["pool", "single"])
+    def test_no_torn_responses_and_convergence(self, artifacts, router_for, single_for, front):
         ref_v1 = RecommenderService(artifacts["DenseV1"]["npz"], cache_size=0)
         ref_v2 = RecommenderService(artifacts["DenseV2"]["npz"], cache_size=0)
-        link = artifacts["root"] / "current-swap-test"
+        link = artifacts["root"] / f"current-swap-test-{front}"
         publish_artifact(artifacts["DenseV1"]["bundle"], link)
-        _, base = router_for(link, n_workers=2, n_shards=2, hot_swap_poll_s=0.05)
+        if front == "pool":
+            _, base = router_for(link, n_workers=2, n_shards=2, hot_swap_poll_s=0.05)
+        else:
+            base = single_for(link, "--hot-swap-poll", "0.05")
 
         n_users = ref_v1.n_users
         stop = threading.Event()
@@ -213,12 +250,12 @@ class TestHotSwapUnderLoad:
         deadline = time.time() + 15
         while time.time() < deadline:
             _, health = _get(base, "/health")
-            if all(w.get("model") == "DenseV2" for w in health["workers"]):
+            if all(w.get("model") == "DenseV2" for w in health.get("workers", [health])):
                 break
             time.sleep(0.1)
         else:
             stop.set()
-            pytest.fail("pool never converged to the new artifact")
+            pytest.fail(f"{front} never converged to the new artifact")
         time.sleep(0.3)  # load against v2 after convergence
         stop.set()
         for thread in threads:

@@ -3,13 +3,15 @@
 A shared bundle must be a perfect container swap — same validation, same
 typed failures, bit-identical serving — with its arrays actually
 memory-mapped read-only (that is the whole point: N workers, one
-physical copy).  ``publish_artifact`` must refuse to clobber real files
-and must flip symlinks atomically; ``artifact_fingerprint`` must move
-exactly when the resolved target moves.
+physical copy).  Re-exporting over a bundle must swap in a new
+directory, never rewrite the files a live map reads.  ``publish_artifact``
+must refuse to clobber real files and must flip symlinks atomically;
+``artifact_fingerprint`` must move exactly when the resolved target moves.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -123,6 +125,34 @@ class TestBundleFailureModes:
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises((ArtifactError, SchemaMismatchError)):
             load_shared(bundle)
+
+
+class TestReExport:
+    def test_reexport_leaves_a_live_snapshot_on_the_old_bytes(self, npz_path, bundle):
+        v1 = load_artifact(npz_path)
+        live = load_shared(bundle)  # mmap-backed, as a serving process holds it
+        fingerprint = artifact_fingerprint(bundle)
+        v2_scores = np.asarray(v1.arrays["scores"]) / 2.0
+        export_shared(dataclasses.replace(v1, arrays={"scores": v2_scores}), bundle)
+        np.testing.assert_array_equal(np.asarray(live.arrays["scores"]), v1.arrays["scores"])
+        np.testing.assert_array_equal(np.asarray(load_shared(bundle).arrays["scores"]), v2_scores)
+        assert artifact_fingerprint(bundle) != fingerprint
+        assert [p.name for p in bundle.parent.iterdir()] == [bundle.name]  # nothing left over
+
+    def test_empty_directory_is_replaced(self, npz_path, tmp_path):
+        target = tmp_path / "fresh"
+        target.mkdir()
+        export_shared(npz_path, target)
+        assert load_shared(target).model_name == "Dense"
+
+    def test_refuses_a_directory_that_is_not_a_bundle(self, npz_path, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "history.jsonl").write_text("{}\n", encoding="utf-8")
+        with pytest.raises(ArtifactError, match="neither a shared bundle nor an empty directory"):
+            export_shared(npz_path, run_dir)
+        assert [p.name for p in run_dir.iterdir()] == ["history.jsonl"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
 
 class TestPublishAndFingerprint:
