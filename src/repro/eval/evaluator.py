@@ -2,20 +2,25 @@
 
 :func:`evaluate` scores users in chunks, masks earlier-phase items with
 the CSR-vectorised :func:`repro.eval.metrics.mask_seen` and ranks with the
-deterministic batched top-K of :func:`repro.eval.metrics.rank_topk`.  The
-differential tests pin it to a naive per-user / per-item loop with the
-same masking and the same ``(-score, item_id)`` tie rule
-(``tests/oracles.py``).
+deterministic batched top-K of :func:`repro.eval.metrics.rank_topk`.  A
+pass runs inside the model's ``scoring_pass()`` when it has one
+(:meth:`repro.models.Recommender.scoring_pass`), so a model's frozen
+arrays are built once per pass, not once per chunk; any object with
+``score_users`` evaluates.  Recall and NDCG at both cutoffs come from one
+relevance matrix per pass.  The differential tests pin it to a naive
+per-user / per-item loop with the same masking and the same
+``(-score, item_id)`` tie rule (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import InteractionDataset, Split
-from .metrics import mask_seen, ndcg_at_k, rank_topk, recall_at_k
+from .metrics import _ndcg, _recall, _relevance, mask_seen, rank_topk
 
 __all__ = ["EvalResult", "evaluate", "held_out_positives", "topk_ranking"]
 
@@ -52,19 +57,32 @@ def held_out_positives(dataset: InteractionDataset) -> list[np.ndarray]:
     return dataset.items_of_user()
 
 
+class _HeldOut:
+    """Held-out items of every user as one CSR: ``held[u]`` is user ``u``'s
+    items in timestamp order (what :func:`held_out_positives` lists)."""
+
+    def __init__(self, target: InteractionDataset):
+        self.items = target.item_ids[np.lexsort((target.timestamps, target.user_ids))]
+        counts = np.bincount(target.user_ids, minlength=target.n_users)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+
+    def __getitem__(self, user: int) -> np.ndarray:
+        return self.items[self.indptr[user] : self.indptr[user + 1]]
+
+
 def _eval_setup(split: Split, on: str):
     """Shared preamble: held-out positives, mask CSR, evaluated-user set."""
     if on not in ("test", "valid"):
         raise ValueError("on must be 'test' or 'valid'")
     target = split.test if on == "test" else split.valid
-    positives = held_out_positives(target)
+    positives = _HeldOut(target)
 
     mask = split.train.interaction_matrix()
     if on == "test":
         mask = mask + split.valid.interaction_matrix()
     mask = mask.tocsr()
 
-    users = np.array([u for u in range(target.n_users) if len(positives[u])], dtype=np.int64)
+    users = np.flatnonzero(np.diff(positives.indptr))
     return positives, mask, users
 
 
@@ -72,16 +90,18 @@ def _ranked_topk(model, mask, users: np.ndarray, k: int, batch_users: int) -> np
     """Masked, deterministically tie-broken top-``k`` lists per user.
 
     The production ranking core shared by :func:`evaluate` and
-    :func:`topk_ranking`: user-chunked score matrices, CSR-vectorised
+    :func:`topk_ranking`: user-chunked score matrices inside one
+    ``model.scoring_pass()`` (when the model has one), CSR-vectorised
     ``-inf`` masking of earlier-phase items, and the batched
     ``(-score, item_id)`` top-K of :func:`repro.eval.metrics.rank_topk`.
     """
     all_topk = np.zeros((len(users), k), dtype=np.int64)
-    for start in range(0, len(users), batch_users):
-        batch = users[start : start + batch_users]
-        scores = np.asarray(model.score_users(batch), dtype=np.float64)
-        mask_seen(scores, mask.indptr, mask.indices, batch)
-        all_topk[start : start + len(batch)] = rank_topk(scores, k)
+    with getattr(model, "scoring_pass", nullcontext)():
+        for start in range(0, len(users), batch_users):
+            batch = users[start : start + batch_users]
+            scores = np.asarray(model.score_users(batch), dtype=np.float64)
+            mask_seen(scores, mask.indptr, mask.indices, batch)
+            all_topk[start : start + len(batch)] = rank_topk(scores, k)
     return all_topk
 
 
@@ -132,10 +152,13 @@ def evaluate(
     k_max = min(max(ks), split.train.n_items)
     all_topk = _ranked_topk(model, mask, users, k_max, batch_users)
 
-    pos = [positives[u] for u in users]
+    # Users are ascending and the skipped ones hold no items, so the
+    # evaluated rows' positives are the held-out items as they stand.
+    n_pos = np.diff(positives.indptr)[users]
+    rel = _relevance(all_topk, n_pos, positives.items, k_max)
     return EvalResult(
-        recall_at_10=recall_at_k(all_topk, pos, ks[0]),
-        recall_at_20=recall_at_k(all_topk, pos, ks[1]),
-        ndcg_at_10=ndcg_at_k(all_topk, pos, ks[0]),
-        ndcg_at_20=ndcg_at_k(all_topk, pos, ks[1]),
+        recall_at_10=_recall(rel, n_pos, ks[0]),
+        recall_at_20=_recall(rel, n_pos, ks[1]),
+        ndcg_at_10=_ndcg(rel, n_pos, ks[0]),
+        ndcg_at_20=_ndcg(rel, n_pos, ks[1]),
     )

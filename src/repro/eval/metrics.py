@@ -11,7 +11,9 @@ id is an explicit, documented tiebreak.  The default ``np.argsort`` (an
 unstable introsort) and ``np.argpartition`` leave the relative order of
 equal scores platform- and layout-dependent, which silently changes
 Recall/NDCG whenever a model emits tied scores (popularity scorers,
-quantised checkpoints, masked ``-inf`` blocks).  The differential tests
+quantised checkpoints, masked ``-inf`` blocks).  ``rank_topk`` therefore
+keeps an ``argpartition`` pick only in rows where no tie crosses the k-th
+place, and re-selects the others by the rule.  The differential tests
 pin every ranking and metric function here to a pure-Python oracle with
 the same contract (``tests/oracles.py``).  :func:`mask_seen` is the one
 seen-item mask shared by the evaluator, the server and the staleness
@@ -21,7 +23,6 @@ harness; its oracle is the per-item loop of the reference evaluator.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 __all__ = ["recall_at_k", "ndcg_at_k", "rank_topk", "mask_seen"]
 
@@ -35,10 +36,14 @@ def rank_topk(scores: np.ndarray, k: int) -> np.ndarray:
     layout).  Scores must be real-valued (``-inf`` is fine for masked
     entries; ``nan`` is not supported).
 
-    For ``k`` much smaller than the catalogue this runs an
-    ``argpartition``-based selection: the k-th score is found first, rows
-    are filled with all strictly-greater entries plus the lowest-id entries
-    tied with the threshold, and only the selected ``k`` are sorted.
+    For ``k`` much smaller than the catalogue this runs one
+    ``argpartition``, whose last ``k`` columns hold a row's ``k`` largest
+    scores with the k-th largest first.  That set is the answer unless the
+    k-th score is tied beyond the pick (the row holds more entries equal
+    to it than were picked); only such rows are selected again, as every
+    strictly greater entry plus the lowest-id entries tied with the k-th
+    score.  The ``k`` selected entries are then sorted on
+    ``(-score, item_id)``.
     """
     scores = np.asarray(scores)
     n_rows, n = scores.shape
@@ -48,21 +53,22 @@ def rank_topk(scores: np.ndarray, k: int) -> np.ndarray:
     if 4 * k >= n:
         # Stable argsort of -scores: equal scores keep ascending-id order.
         return np.argsort(-scores, axis=1, kind="stable")[:, :k].astype(np.int64)
-    # Threshold = k-th largest score per row.
-    kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1 : k]
-    greater = scores > kth
-    tied = scores == kth
-    # Among threshold ties keep the lowest item ids (cumsum runs id-ascending).
-    need = k - greater.sum(axis=1, keepdims=True)
-    tie_rank = np.cumsum(tied, axis=1)
-    select = greater | (tied & (tie_rank <= need))
-    # np.nonzero is row-major, so each row's columns come out id-ascending;
-    # the stable sort below then only reorders by score, preserving the
-    # ascending-id tiebreak.
-    cols = np.nonzero(select)[1].reshape(n_rows, k).astype(np.int64)
-    row = np.arange(n_rows)[:, None]
-    order = np.argsort(-scores[row, cols], axis=1, kind="stable")
-    return cols[row, order]
+    cols = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+    picked = np.take_along_axis(scores, cols, axis=1)
+    kth = picked[:, :1]
+    surplus = np.flatnonzero(
+        np.count_nonzero(scores == kth, axis=1) > np.count_nonzero(picked == kth, axis=1)
+    )
+    if len(surplus):
+        sub, kth = scores[surplus], kth[surplus]
+        greater, tied = sub > kth, sub == kth
+        need = k - np.count_nonzero(greater, axis=1)[:, None]
+        select = greater | (tied & (np.cumsum(tied, axis=1) <= need))
+        # np.nonzero is row-major, so each row's columns come out id-ascending.
+        cols[surplus] = np.nonzero(select)[1].reshape(len(surplus), k)
+        picked[surplus] = np.take_along_axis(sub, cols[surplus], axis=1)
+    order = np.lexsort((cols, -picked), axis=1)
+    return np.take_along_axis(cols, order, axis=1).astype(np.int64, copy=False)
 
 
 def mask_seen(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray, users) -> None:
@@ -75,47 +81,68 @@ def mask_seen(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray, users
     list once a row's unseen items run out.
     """
     users = np.asarray(users, dtype=np.int64)
-    starts, stops = indptr[users], indptr[users + 1]
-    rows = np.repeat(np.arange(len(users)), stops - starts)
-    cols = (
-        np.concatenate([indices[a:b] for a, b in zip(starts, stops)])
-        if len(rows)
-        else np.zeros(0, dtype=np.int64)
-    )
-    scores[rows, cols] = -np.inf
+    if len(users) == 1:  # a serving read: one slice, no gather
+        user = users[0]
+        scores[0, indices[indptr[user] : indptr[user + 1]]] = -np.inf
+        return
+    starts = indptr[users]
+    counts = indptr[users + 1] - starts
+    rows = np.repeat(np.arange(len(users)), counts)
+    # Entry j of the flat gather reads indices[starts[r] + (j - first entry of row r)].
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    scores[rows, indices[np.arange(len(rows)) + shift]] = -np.inf
 
 
-def _positives_csr(positives: list[np.ndarray], n_items: int) -> sparse.csr_matrix:
-    """Binary (n_users, n_items) membership matrix from ragged positive lists."""
-    counts = np.array([len(p) for p in positives], dtype=np.int64)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = (
-        np.concatenate([np.asarray(p, dtype=np.int64) for p in positives])
+def _flat_positives(positives: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, items)`` of ragged positive lists: row ``r`` is the next ``counts[r]`` items."""
+    counts = np.fromiter(map(len, positives), dtype=np.int64, count=len(positives))
+    items = (
+        np.concatenate(positives).astype(np.int64, copy=False)
         if counts.sum()
         else np.zeros(0, dtype=np.int64)
     )
-    data = np.ones(len(indices), dtype=np.float64)
-    mat = sparse.csr_matrix((data, indices, indptr), shape=(len(positives), n_items))
-    mat.sum_duplicates()
-    mat.data[:] = 1.0  # repro-lint: disable=inplace-tensor-data
-    return mat
+    return counts, items
 
 
-def _relevance(topk: np.ndarray, positives: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rel, n_pos): binary hit matrix over the first ``k`` columns + counts."""
-    n_pos = np.array([len(p) for p in positives], dtype=np.int64)
+def _relevance(topk: np.ndarray, counts: np.ndarray, items: np.ndarray, k: int) -> np.ndarray:
+    """Binary hit matrix over the first ``k`` columns of ``topk``.
+
+    ``rel[r, j]`` is 1.0 when ``topk[r, j]`` is one of row ``r``'s
+    positives, the ``counts[r]`` entries of ``items`` after those of the
+    rows before it (repeats count once).  Each ``(row, item)`` pair is one
+    integer key, so membership is one sorted search for all rows together.
+    """
     width = min(k, topk.shape[1]) if topk.ndim == 2 else 0
     if len(topk) == 0 or width == 0:
-        return np.zeros((len(topk), 0)), n_pos
-    n_items = int(topk.max(initial=-1)) + 1
-    for p in positives:
-        if len(p):
-            n_items = max(n_items, int(np.max(p)) + 1)
-    pos_mat = _positives_csr(positives, n_items)
-    rows = np.repeat(np.arange(len(topk)), width)
-    cols = topk[:, :width].ravel()
-    rel = np.asarray(pos_mat[rows, cols]).reshape(len(topk), -1)
-    return rel, n_pos
+        return np.zeros((len(topk), 0))
+    ranked = topk[:, :width].astype(np.int64, copy=False)
+    base = max(int(ranked.max(initial=-1)), int(items.max(initial=-1))) + 1
+    row_keys = np.arange(len(topk), dtype=np.int64) * base
+    positive_keys = np.repeat(row_keys, counts) + items
+    return np.isin(ranked + row_keys[:, None], positive_keys, kind="sort").astype(np.float64)
+
+
+def _recall(rel: np.ndarray, n_pos: np.ndarray, k: int) -> float:
+    """Mean Recall@K from a hit matrix (users without positives skipped)."""
+    keep = n_pos > 0
+    if not keep.any():
+        return 0.0
+    hits = rel[keep][:, :k].sum(axis=1)
+    return float(np.mean(hits / n_pos[keep]))
+
+
+def _ndcg(rel: np.ndarray, n_pos: np.ndarray, k: int) -> float:
+    """Mean NDCG@K from a hit matrix (users without positives skipped)."""
+    keep = n_pos > 0
+    if not keep.any():
+        return 0.0
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    hits = rel[keep][:, :k]
+    width = hits.shape[1]
+    dcg = (hits * discounts[:width]).sum(axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(discounts)])
+    idcg = cum[np.minimum(k, n_pos[keep])]
+    return float(np.mean(dcg / idcg))
 
 
 def recall_at_k(topk: np.ndarray, positives: list[np.ndarray], k: int) -> float:
@@ -129,12 +156,8 @@ def recall_at_k(topk: np.ndarray, positives: list[np.ndarray], k: int) -> float:
         Per-user arrays of held-out ground-truth item ids; users with no
         positives are skipped.
     """
-    rel, n_pos = _relevance(topk, positives, k)
-    keep = n_pos > 0
-    if not keep.any():
-        return 0.0
-    hits = rel[keep].sum(axis=1)
-    return float(np.mean(hits / n_pos[keep]))
+    n_pos, items = _flat_positives(positives)
+    return _recall(_relevance(topk, n_pos, items, k), n_pos, k)
 
 
 def ndcg_at_k(topk: np.ndarray, positives: list[np.ndarray], k: int) -> float:
@@ -142,13 +165,5 @@ def ndcg_at_k(topk: np.ndarray, positives: list[np.ndarray], k: int) -> float:
 
     IDCG truncates at ``min(k, |positives|)`` so a perfect ranking scores 1.
     """
-    rel, n_pos = _relevance(topk, positives, k)
-    keep = n_pos > 0
-    if not keep.any():
-        return 0.0
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    width = rel.shape[1]
-    dcg = (rel[keep] * discounts[:width]).sum(axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(discounts)])
-    idcg = cum[np.minimum(k, n_pos[keep])]
-    return float(np.mean(dcg / idcg))
+    n_pos, items = _flat_positives(positives)
+    return _ndcg(_relevance(topk, n_pos, items, k), n_pos, k)

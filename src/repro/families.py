@@ -359,7 +359,8 @@ class _NegSqEuclid(_Distance):
     id = "neg_sq_euclid"
 
     def _score(self, arrays, users):
-        return -kernels.sq_dist_euclid_gram(arrays["user"][users], arrays["item"])
+        dist = kernels.sq_dist_euclid_gram(arrays["user"][users], arrays["item"])
+        return np.negative(dist, out=dist)
 
 
 class _NegSqLorentz(_Distance):
@@ -367,7 +368,8 @@ class _NegSqLorentz(_Distance):
     space = _LORENTZ
 
     def _score(self, arrays, users):
-        return -kernels.sq_dist_lorentz(arrays["user"][users], arrays["item"])
+        dist = kernels.sq_dist_lorentz(arrays["user"][users], arrays["item"])
+        return np.negative(dist, out=dist)
 
 
 class _TwoChannel(_Distance):
@@ -384,10 +386,13 @@ class _TwoChannel(_Distance):
         raise NotImplementedError
 
     def _score(self, arrays, users):
-        alpha = arrays["alpha"][users][:, None]
+        # The kernels return fresh buffers, so Eq. 17 combines and negates
+        # in them (the same element-wise ops as ``-(d_ir + alpha * d_tg)``).
         d_ir = self._sq_dist(arrays["user_ir"][users], arrays["item_ir"])
         d_tg = self._sq_dist(arrays["user_tg"][users], arrays["item_tg"])
-        return -(d_ir + alpha * d_tg)
+        d_tg *= arrays["alpha"][users][:, None]
+        d_ir += d_tg
+        return np.negative(d_ir, out=d_ir)
 
     def fold_users(self, arrays, indptr, indices, priors, weights, ridge):
         # alpha is the prior's: an existing user keeps theirs, a new user's

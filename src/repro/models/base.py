@@ -22,6 +22,7 @@ bit-for-bit — same RNG consumption order, so seeded metrics match.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,10 +89,41 @@ class Recommender(Module):
         raise NotImplementedError
 
     def score_users(self, users: np.ndarray) -> np.ndarray:
-        """``(len(users), n_items)`` scores, larger = better recommendation."""
-        with no_grad():
-            arrays = self.frozen_arrays()
+        """``(len(users), n_items)`` scores, larger = better recommendation.
+
+        Inside :meth:`scoring_pass` the first call's :meth:`frozen_arrays`
+        serves every later call of the pass.
+        """
+        memo = vars(self).get("_pass_arrays")
+        if memo:
+            arrays = memo
+        else:
+            with no_grad():
+                arrays = self.frozen_arrays()
+            if memo is not None:
+                memo.update(arrays)
         return FAMILIES[self.score_fn].score(arrays, users)
+
+    @contextmanager
+    def scoring_pass(self):
+        """Compute :meth:`frozen_arrays` once for a block of scoring calls.
+
+        The evaluator scores a full-catalogue pass in user chunks inside
+        this block, so a model's final embeddings (TaxoRec's Eqs. 9–15
+        encode) are built once per pass instead of once per chunk.  The
+        memo is filled by the block's first :meth:`score_users` call and
+        dropped on exit, even by an exception: parameters must not change
+        inside the block, and a write after it reaches the next call.
+        A nested block reuses the open memo.
+        """
+        if "_pass_arrays" in vars(self):
+            yield
+            return
+        self._pass_arrays = {}
+        try:
+            yield
+        finally:
+            del self._pass_arrays
 
     def begin_epoch(self, epoch: int) -> None:
         """Hook before each epoch (TaxoRec rebuilds its taxonomy here)."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Parameter, Tensor, concat, hinge, no_grad
+from ..autodiff import Parameter, Tensor, hinge, no_grad
 from .. import kernels
 from ..constants import BOUNDARY_EPS, DIV_EPS, MIN_NORM
 from ..data import InteractionDataset

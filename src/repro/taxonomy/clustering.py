@@ -21,7 +21,7 @@ import numpy as np
 from ..manifolds import PoincareBall, klein_to_poincare_np, poincare_to_klein_np
 from ..constants import EPS as _EPS
 from ..utils import ensure_rng
-from .scoring import group_item_sets, score_tags
+from .scoring import score_tags
 
 __all__ = ["poincare_kmeans", "adaptive_cluster"]
 

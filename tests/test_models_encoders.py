@@ -1,7 +1,6 @@
 """Encoder-level checks for the GCN-family and NeuMF models."""
 
 import numpy as np
-import pytest
 
 from repro.autodiff import Tensor, check_gradients
 from repro.models import AGCN, HGCF, NGCF, LightGCN, NeuMF, TrainConfig

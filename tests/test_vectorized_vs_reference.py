@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.data import SyntheticConfig, TripletSampler, generate, temporal_split
+from repro.data import SyntheticConfig, TripletSampler, generate
 from repro.eval import evaluate, ndcg_at_k, rank_topk, recall_at_k
 from repro.manifolds import PoincareBall, einstein_midpoint_batch
 from repro.models.graph import BipartiteGraph
