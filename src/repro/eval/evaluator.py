@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import InteractionDataset, Split
-from .metrics import _ndcg, _recall, _relevance, mask_seen, rank_topk
+from .metrics import _flat_positives, _ndcg, _recall, _relevance, mask_seen, rank_topk
 
 __all__ = ["EvalResult", "evaluate", "held_out_positives", "topk_ranking"]
 
@@ -57,32 +57,19 @@ def held_out_positives(dataset: InteractionDataset) -> list[np.ndarray]:
     return dataset.items_of_user()
 
 
-class _HeldOut:
-    """Held-out items of every user as one CSR: ``held[u]`` is user ``u``'s
-    items in timestamp order (what :func:`held_out_positives` lists)."""
-
-    def __init__(self, target: InteractionDataset):
-        self.items = target.item_ids[np.lexsort((target.timestamps, target.user_ids))]
-        counts = np.bincount(target.user_ids, minlength=target.n_users)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-
-    def __getitem__(self, user: int) -> np.ndarray:
-        return self.items[self.indptr[user] : self.indptr[user + 1]]
-
-
 def _eval_setup(split: Split, on: str):
     """Shared preamble: held-out positives, mask CSR, evaluated-user set."""
     if on not in ("test", "valid"):
         raise ValueError("on must be 'test' or 'valid'")
     target = split.test if on == "test" else split.valid
-    positives = _HeldOut(target)
+    positives = held_out_positives(target)
 
     mask = split.train.interaction_matrix()
     if on == "test":
         mask = mask + split.valid.interaction_matrix()
     mask = mask.tocsr()
 
-    users = np.flatnonzero(np.diff(positives.indptr))
+    users = np.array([u for u in range(target.n_users) if len(positives[u])], dtype=np.int64)
     return positives, mask, users
 
 
@@ -152,10 +139,8 @@ def evaluate(
     k_max = min(max(ks), split.train.n_items)
     all_topk = _ranked_topk(model, mask, users, k_max, batch_users)
 
-    # Users are ascending and the skipped ones hold no items, so the
-    # evaluated rows' positives are the held-out items as they stand.
-    n_pos = np.diff(positives.indptr)[users]
-    rel = _relevance(all_topk, n_pos, positives.items, k_max)
+    n_pos, items = _flat_positives([positives[u] for u in users])
+    rel = _relevance(all_topk, n_pos, items, k_max)
     return EvalResult(
         recall_at_10=_recall(rel, n_pos, ks[0]),
         recall_at_20=_recall(rel, n_pos, ks[1]),

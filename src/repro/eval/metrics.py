@@ -81,16 +81,14 @@ def mask_seen(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray, users
     list once a row's unseen items run out.
     """
     users = np.asarray(users, dtype=np.int64)
-    if len(users) == 1:  # a serving read: one slice, no gather
-        user = users[0]
-        scores[0, indices[indptr[user] : indptr[user + 1]]] = -np.inf
-        return
-    starts = indptr[users]
-    counts = indptr[users + 1] - starts
-    rows = np.repeat(np.arange(len(users)), counts)
-    # Entry j of the flat gather reads indices[starts[r] + (j - first entry of row r)].
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    scores[rows, indices[np.arange(len(rows)) + shift]] = -np.inf
+    starts, stops = indptr[users], indptr[users + 1]
+    rows = np.repeat(np.arange(len(users)), stops - starts)
+    cols = (
+        np.concatenate([indices[a:b] for a, b in zip(starts, stops)])
+        if len(rows)
+        else np.zeros(0, dtype=np.int64)
+    )
+    scores[rows, cols] = -np.inf
 
 
 def _flat_positives(positives: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
