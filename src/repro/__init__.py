@@ -19,9 +19,15 @@ Quickstart
 >>> result = evaluate(model, split, on="test")
 """
 
-from .data import InteractionDataset, load_preset, temporal_split
-from .eval import EvalResult, evaluate
-from .models import TaxoRec, TrainConfig, create_model
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .data import InteractionDataset, load_preset, temporal_split
+    from .eval import EvalResult, evaluate
+    from .models import TaxoRec, TrainConfig, create_model
 
 __version__ = "1.0.0"
 
@@ -36,3 +42,25 @@ __all__ = [
     "EvalResult",
     "__version__",
 ]
+
+# Each re-exported name resolves on first use, so ``import repro`` (and any
+# ``repro.<subpackage>`` import, which runs this file first) loads no layer
+# it does not call: ``repro serve`` never imports the models or scipy.
+_LAZY = {
+    "InteractionDataset": ".data",
+    "load_preset": ".data",
+    "temporal_split": ".data",
+    "TaxoRec": ".models",
+    "TrainConfig": ".models",
+    "create_model": ".models",
+    "evaluate": ".eval",
+    "EvalResult": ".eval",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name], __name__), name)
+    globals()[name] = value
+    return value

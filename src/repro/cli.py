@@ -17,12 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .data import PRESET_NAMES, compute_stats
-from .models import MODEL_REGISTRY
-from .train import execute_run, run_experiment
-from .utils import render_table
+# Each branch of ``main`` imports what it runs, so ``repro serve`` loads none
+# of the training stack (models, autodiff, scipy).
 
 __all__ = ["main"]
 
@@ -31,6 +27,8 @@ _METRIC_HEADERS = ["Recall@10", "Recall@20", "NDCG@10", "NDCG@20"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for ``python -m repro``."""
+    from .data import PRESET_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TaxoRec reproduction: train and evaluate recommenders on synthetic presets",
@@ -75,6 +73,9 @@ _STATS_HEADERS = ["Dataset", "#User", "#Item", "#Interaction", "Density(%)", "#T
 
 
 def _print_run_start(dataset, split, model, config) -> None:
+    from .data import compute_stats
+    from .utils import render_table
+
     print(render_table(_STATS_HEADERS, [compute_stats(dataset).as_row()]))
     print(f"\ntraining {model.name} ({model.num_parameters()} parameters, "
           f"{config.epochs} epochs)…")
@@ -82,6 +83,8 @@ def _print_run_start(dataset, split, model, config) -> None:
 
 def experiment_main(argv: list[str]) -> int:
     """Entry point for the ``experiment`` subcommand."""
+    from .train import run_experiment
+
     args = build_experiment_parser().parse_args(argv)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
@@ -127,6 +130,10 @@ def main(argv: list[str] | None = None) -> int:
 
         return stream_main(argv[1:])
     args = build_parser().parse_args(argv)
+    from .models import MODEL_REGISTRY
+    from .train import execute_run
+    from .utils import render_table
+
     if args.list_models:
         for name in sorted(MODEL_REGISTRY):
             print(name)
@@ -164,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         print(outcome.model.taxonomy.render(tag_names=outcome.dataset.tag_names))
 
     if args.save:
+        import numpy as np
+
         np.savez(args.save, **outcome.model.state_dict())
         print(f"\nweights saved to {args.save}")
     if args.out_dir:

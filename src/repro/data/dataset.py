@@ -9,9 +9,12 @@ protocol splits temporally) and an item-tag attribute matrix **A** with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["InteractionDataset"]
 
@@ -86,6 +89,8 @@ class InteractionDataset:
 
     def interaction_matrix(self) -> sparse.csr_matrix:
         """Binary user×item CSR matrix **X** (duplicates collapse to 1)."""
+        from scipy import sparse  # on first call: the serving path never needs scipy
+
         data = np.ones(self.n_interactions, dtype=np.float64)
         mat = sparse.csr_matrix(
             (data, (self.user_ids, self.item_ids)), shape=(self.n_users, self.n_items)

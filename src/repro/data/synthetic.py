@@ -14,6 +14,15 @@ Four presets mirror Table I's relative shape — tag vocabulary growing
 sizes.  Absolute sizes are scaled down ~30×; every claim we reproduce is
 relative (model orderings, where gains concentrate), which the generator's
 control knobs exercise directly.
+
+Every draw comes from one seeded ``numpy.random.Generator``, so a config
+and seed fix every array bit for bit.  The popularity fill, which draws
+thousands of items per dataset, searches one uniform per item in a
+popularity CDF built once per dataset: the same uniform, normalisation
+and search as ``Generator.choice(n_items, p=popularity)``, without that
+call re-validating the vector and summing it again on every draw
+(``tests/test_data_synthetic_bits.py`` pins the equivalence and the
+presets' arrays).
 """
 
 from __future__ import annotations
@@ -174,6 +183,11 @@ def generate(config: SyntheticConfig) -> InteractionDataset:
     ranks = rng.permutation(config.n_items) + 1
     popularity = 1.0 / ranks.astype(np.float64) ** config.popularity_exponent
     popularity /= popularity.sum()
+    # One draw of ``rng.choice(n_items, p=popularity)`` is one uniform
+    # searched in this normalised CDF; building the CDF once keeps the
+    # stream and every generated array bit-identical.
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
 
     # ---- per-leaf item pools (for fast preference sampling) -------------
     items_by_leaf = {int(t): np.nonzero(item_leaf == t)[0] for t in leaves}
@@ -211,8 +225,7 @@ def generate(config: SyntheticConfig) -> InteractionDataset:
             for v in rng.choice(pool, size=take, replace=False, p=pw):
                 chosen.add(int(v))
         while len(chosen) < target:
-            v = int(rng.choice(config.n_items, p=popularity))
-            chosen.add(v)
+            chosen.add(int(cdf.searchsorted(rng.random(), side="right")))
         seq = np.fromiter(chosen, dtype=np.int64)
         # Sequencing: interest drifts across the user's preferred leaves
         # (later interactions come from later leaves of the same subtrees),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["wilcoxon_improvement"]
 
@@ -31,5 +30,7 @@ def wilcoxon_improvement(
     diff = candidate - baseline
     if np.allclose(diff, 0.0):
         return 1.0, False
+    from scipy import stats  # on first call: importing scipy.stats is slow and big
+
     result = stats.wilcoxon(candidate, baseline, alternative="greater")
     return float(result.pvalue), bool(result.pvalue < alpha)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
 
 from .constants import BOUNDARY_EPS, EPS, MAX_TANH_ARG, MIN_NORM
 
@@ -356,6 +355,8 @@ def csr_row_sums(indptr: np.ndarray, columns: np.ndarray, table: np.ndarray) -> 
     pairwise, and ``numpy.add.reduceat`` sums pairwise at any width;
     neither is bit-equal to this.)
     """
+    from scipy import sparse  # on first call: the serving path never needs scipy
+
     onehot = sparse.csr_array(
         (np.ones(len(columns)), columns, indptr), shape=(len(indptr) - 1, table.shape[0])
     )

@@ -23,9 +23,11 @@ problem list and writers refuse to emit invalid documents.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 import time
+import uuid
 import zipfile
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
@@ -272,6 +274,12 @@ def save_artifact(artifact: ModelArtifact, out_path) -> Path:
     a live model — e.g. fold-in results (:mod:`repro.stream`), whose
     ``meta["stream"]`` provenance survives the round-trip.  Validates
     before writing, like every other export path.
+
+    The file is written under a temporary name beside the target and
+    renamed over it, so an existing artifact is replaced, never rewritten:
+    a reader that holds it open keeps reading the old bytes, and a watcher
+    never sees a half-written file.  Like :func:`numpy.savez`, a name
+    without ``.npz`` gets it appended.
     """
     problems = validate_model_artifact(
         artifact.meta, artifact.arrays, artifact.seen_indptr, artifact.seen_indices
@@ -285,7 +293,16 @@ def save_artifact(artifact: ModelArtifact, out_path) -> Path:
     payload["__meta__"] = np.asarray(json.dumps(artifact.meta))
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(out_path, **payload)
+    target = out_path if out_path.name.endswith(".npz") else Path(f"{out_path}.npz")
+    # Same directory, hence same filesystem: the rename is atomic.  The
+    # temporary name ends in ``.npz`` so that savez writes it as named.
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.npz")
+    try:
+        np.savez(tmp, **payload)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return out_path
 
 

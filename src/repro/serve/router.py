@@ -228,7 +228,8 @@ class RouterHTTPServer(JSONHTTPServer):
     worker ``w`` serves ``shard_map.shards_for_worker(w)``.  Each router
     handler thread keeps one persistent upstream connection per worker
     (stale connections are retried once with a fresh socket), so proxying
-    adds no per-request TCP handshake.
+    adds no per-request TCP handshake.  A handler closes its upstream
+    connections when its client connection ends.
     """
 
     def __init__(
@@ -266,6 +267,12 @@ class RouterHTTPServer(JSONHTTPServer):
             if conn is not None:
                 conn.close()
 
+    def _close_upstream(self) -> None:
+        """Close the calling thread's upstream connections."""
+        pool = getattr(self._local, "pool", None)
+        while pool:
+            pool.popitem()[1].close()
+
     def forward(
         self, worker: int, method: str, path: str, body: bytes | None = None
     ) -> tuple[int, bytes]:
@@ -284,12 +291,20 @@ class RouterHTTPServer(JSONHTTPServer):
                         f"worker {worker} at {self.workers[worker]} unreachable: {exc}"
                     ) from exc
 
-    def server_close(self) -> None:  # pragma: no cover - plumbing
+    def server_close(self) -> None:
         super().server_close()
+        self._close_upstream()  # those of the owning thread, e.g. a startup /health probe
 
 
 class _RouterHandler(JSONRequestHandler):
     server: RouterHTTPServer
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            # This thread serves no other client: its upstream sockets are done.
+            self.server._close_upstream()
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         from urllib.parse import parse_qs, urlparse

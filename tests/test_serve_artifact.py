@@ -23,6 +23,7 @@ from repro.serve import (
     export_model,
     export_payload,
     load_artifact,
+    save_artifact,
     validate_model_artifact,
 )
 
@@ -311,6 +312,50 @@ class TestLoadArtifactNegativePaths:
             assert issubclass(exc, ServeError)
         assert issubclass(SchemaMismatchError, ArtifactError)
         assert issubclass(UnknownScoreFnError, ArtifactError)
+
+
+class TestSaveReplaces:
+    """``save_artifact`` renames a finished file over the target, never rewrites it."""
+
+    def test_open_reader_keeps_reading_the_old_file(self, artifact_path, tiny_split, tmp_path):
+        v1 = load_artifact(artifact_path).arrays["scores"]
+        v2_path = tmp_path / "v2.npz"
+        export_payload(
+            v2_path,
+            score_fn="dense",
+            arrays=_dense_payload(tiny_split.train, seed=1),
+            train=tiny_split.train,
+            model_name="Dense",
+        )
+        v2 = load_artifact(v2_path)
+        with np.load(artifact_path, allow_pickle=False) as reader:
+            save_artifact(v2, artifact_path)
+            np.testing.assert_array_equal(reader["arrays/scores"], v1)
+        reloaded = load_artifact(artifact_path).arrays["scores"]
+        np.testing.assert_array_equal(reloaded, v2.arrays["scores"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "v2.npz"]
+
+    def test_a_name_without_npz_gets_it_appended(self, artifact_path, tmp_path):
+        save_artifact(load_artifact(artifact_path), tmp_path / "copy")
+        assert load_artifact(tmp_path / "copy.npz").model_name == "Dense"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.npz", "model.npz"]
+
+    def test_a_failed_write_leaves_the_target_and_no_temp_file(
+        self, artifact_path, tmp_path, monkeypatch
+    ):
+        artifact = load_artifact(artifact_path)
+        before = artifact_path.read_bytes()
+
+        def broken_savez(file, **arrays):
+            with open(file, "wb") as fh:
+                fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_artifact(artifact, artifact_path)
+        assert artifact_path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 
 
 def _rewrite_meta(src, tmp_path, **overrides):

@@ -35,6 +35,7 @@ import pytest
 from repro.serve import (
     RecommenderService,
     WorkerPool,
+    create_router,
     create_server,
     export_payload,
     export_shared,
@@ -337,3 +338,56 @@ class TestBoundedDrain:
                 serve_until_drained(server)
         finally:
             server.server_close()
+
+
+class TestRouterUpstream:
+    """A router handler's keep-alive upstream sockets end with its client."""
+
+    @pytest.fixture()
+    def fronted(self, artifacts, monkeypatch):
+        """An in-process router before one in-process worker; records upstream sockets."""
+        opened: list[http.client.HTTPConnection] = []
+
+        class Recording(http.client.HTTPConnection):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        worker = create_server(RecommenderService(artifacts["DenseV1"]["npz"]))
+        router = create_router([worker.server_address[:2]], n_shards=1)
+        threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in (worker, router)]
+        for thread in threads:
+            thread.start()
+        monkeypatch.setattr(http.client, "HTTPConnection", Recording)
+        yield router, opened
+        for server in (router, worker):
+            server.shutdown()
+            server.server_close()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_closed_when_the_client_connection_ends(self, fronted):
+        router, opened = fronted
+        client = http.client.HTTPConnection(*router.server_address[:2], timeout=30)
+        for path in ("/recommend?user=1&k=5", "/recommend?user=2&k=5", "/health"):
+            client.request("GET", path)
+            response = client.getresponse()
+            response.read()
+            assert response.status == 200
+        upstream = [conn for conn in opened if conn is not client]
+        assert len(upstream) == 1  # one keep-alive upstream socket, reused
+        assert upstream[0].sock is not None
+        client.close()
+        deadline = time.monotonic() + 5
+        while upstream[0].sock is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert upstream[0].sock is None, "the upstream socket outlived its client"
+
+    def test_server_close_closes_the_owning_threads_connections(self, fronted):
+        router, opened = fronted
+        assert router.forward(0, "GET", "/health")[0] == 200
+        (upstream,) = opened
+        router.shutdown()
+        router.server_close()
+        assert upstream.sock is None
