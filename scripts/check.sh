@@ -45,9 +45,6 @@ python scripts/train_smoke.py
 echo "== serve smoke =="
 python scripts/serve_smoke.py
 
-echo "== serve load smoke (2 workers x 2 shards) =="
-python scripts/serve_load_smoke.py
-
 echo "== stream smoke (ingest -> fold-in -> serve parity -> attach) =="
 python scripts/stream_smoke.py
 

@@ -66,7 +66,7 @@ def main(argv: list[str]) -> int:
         return fail("repro export exited non-zero")
 
     artifact = load_artifact(artifact_path)
-    service = RecommenderService(artifact, index_k=20)
+    service = RecommenderService(artifact)
     server = create_server(service, host="127.0.0.1", port=0)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -4,8 +4,7 @@ The harness runs *paired* cases: each times its fast path and (when
 present) the path it races on the same prepared state, so each result
 carries a measured speedup.  ``python -m repro.bench`` runs the streaming
 fold-in-vs-retrain cases (:mod:`repro.bench.stream`) into
-``BENCH_stream.json``, and :mod:`repro.bench.load` writes its serving
-sweeps with the same schema.  The repository's end-to-end benchmark is
+``BENCH_stream.json``.  The repository's end-to-end benchmark is
 ``perf/``, not this harness.
 
 Result files follow the ``repro.bench/v1`` schema (see

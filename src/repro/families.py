@@ -208,8 +208,8 @@ class ScoreFamily:
         GEMV kernel for one-row batches whose reduction order differs from
         GEMM in the last bits, so single-user calls are padded to a
         two-row batch (duplicate row, first row kept) and every scoring
-        path — live model, per-request, micro-batched, top-K index build,
-        offline evaluator — runs the same GEMM kernel.
+        path — live model, per-request serving, offline evaluator — runs
+        the same GEMM kernel.
         """
         users = np.asarray(users, dtype=np.int64)
         if len(users) == 1:

@@ -7,29 +7,20 @@ The serving spine is ``train → export → serve``:
   into a versioned ``repro.model/v1`` ``.npz`` artifact;
 * :class:`RecommenderService` loads an artifact and answers
   ``recommend(user, k, exclude_seen=True)`` / ``score(user, items)``
-  with pure-numpy batched scoring, an optional precomputed top-K index,
-  a bounded LRU cache, and latency/throughput counters;
+  with pure-numpy scoring, a bounded LRU cache, and latency/throughput
+  counters;
 * :func:`create_server` wraps a service in a stdlib JSON HTTP endpoint
-  (``python -m repro serve``).
+  (``python -m repro serve``, one process).
 
 Served rankings are guaranteed identical to the offline evaluator's
 (same deterministic ``(-score, id)`` tiebreak, same exclude-seen
 masking) — see ``tests/test_serve_parity.py`` and ``docs/SERVE.md``.
 
-Scale-out layer (``docs/SERVE.md`` → *Scaling & load testing*):
-
-* :func:`export_shared` / :func:`load_shared` — mmap-able shared
-  bundles so a worker pool shares one physical copy of the arrays;
-  :func:`publish_artifact` flips a deployment symlink atomically;
-* :func:`shard_for_user` / :class:`ShardMap` — deterministic user-hash
-  sharding shared by router, workers and clients;
-* :class:`ShardedService` — in-process sharded facade (optionally
-  micro-batched via :class:`MicroBatcher`), bit-identical to a flat
-  :class:`RecommenderService`;
-* :class:`WorkerPool` + :func:`create_router` — forked shard workers
-  behind an HTTP router, with hot-swap watching;
-* ``python -m repro.bench.load`` — the closed-loop load harness that
-  sweeps workers × concurrency into a ``repro.bench/v1`` report.
+Deployment (``docs/SERVE.md`` → *Hot swap*): :func:`export_shared` /
+:func:`load_shared` write and mmap shared bundles;
+:func:`publish_artifact` flips a deployment symlink atomically, and an
+:class:`ArtifactWatcher` (``repro serve --hot-swap-poll``) swaps the
+running service onto the new target.
 """
 
 from .artifact import (
@@ -43,18 +34,14 @@ from .artifact import (
     save_artifact,
     validate_model_artifact,
 )
-from .batching import MicroBatcher
 from .errors import (
     ArtifactError,
     BadRequestError,
     SchemaMismatchError,
     ServeError,
-    ShardRoutingError,
     UnknownScoreFnError,
 )
 from .http import ServiceHTTPServer, create_server, serve_until_drained
-from .pool import WorkerPool
-from .router import RouterHTTPServer, ShardedService, create_router
 from .scoring import SCORE_FNS, FrozenScorer
 from .service import RecommenderService
 from .shared import (
@@ -64,7 +51,6 @@ from .shared import (
     load_shared,
     publish_artifact,
 )
-from .sharding import ShardMap, shard_for_user
 
 __all__ = [
     "MODEL_SCHEMA",
@@ -81,21 +67,13 @@ __all__ = [
     "SchemaMismatchError",
     "UnknownScoreFnError",
     "BadRequestError",
-    "ShardRoutingError",
     "SCORE_FNS",
     "FrozenScorer",
     "RecommenderService",
     "ServiceHTTPServer",
     "create_server",
     "serve_until_drained",
-    "MicroBatcher",
-    "ShardedService",
-    "RouterHTTPServer",
-    "create_router",
-    "WorkerPool",
     "ArtifactWatcher",
-    "ShardMap",
-    "shard_for_user",
     "export_shared",
     "load_shared",
     "publish_artifact",

@@ -279,7 +279,8 @@ def save_artifact(artifact: ModelArtifact, out_path) -> Path:
     renamed over it, so an existing artifact is replaced, never rewritten:
     a reader that holds it open keeps reading the old bytes, and a watcher
     never sees a half-written file.  Like :func:`numpy.savez`, a name
-    without ``.npz`` gets it appended.
+    without ``.npz`` gets it appended; the path returned is the file
+    written.
     """
     problems = validate_model_artifact(
         artifact.meta, artifact.arrays, artifact.seen_indptr, artifact.seen_indices
@@ -303,7 +304,7 @@ def save_artifact(artifact: ModelArtifact, out_path) -> Path:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return out_path
+    return target
 
 
 def artifact_from_model(model, *, source: str = "live") -> ModelArtifact:

@@ -4,38 +4,32 @@ Usage:
     python -m repro export runs/taxorec --out models/taxorec.npz
     python -m repro export runs/taxorec/checkpoint_0009.npz --out m.npz --best
     python -m repro export runs/taxorec --out models/taxorec --shared
-    python -m repro serve models/taxorec.npz --port 8731 --index-k 100
-    python -m repro serve models/taxorec --workers 2 --shards 4 --micro-batch 32
+    python -m repro serve models/taxorec.npz --port 8731
+    python -m repro serve models/live --hot-swap-poll 0.2
 
-Single-process mode (``--workers 0``, the default) serves one
-:class:`RecommenderService` directly.  Pool mode forks ``--workers``
-shard-scoped worker processes (``repro.serve.pool``) behind a user-hash
-shard router (``repro.serve.router``); point it at a shared bundle
-directory (``--shared`` export) and the workers mmap one physical copy
-of the score arrays.
-
-``--hot-swap-poll SECS`` works in either mode: the single process, or
-each pool worker, polls the artifact path (usually a link kept by
+``repro serve`` runs one process: a :class:`RecommenderService` behind a
+threaded JSON endpoint (``repro.serve.http``).  ``--hot-swap-poll SECS``
+polls the artifact path (usually a link kept by
 :func:`~repro.serve.shared.publish_artifact`) and hot-swaps when its
 target changes.  It is refused together with ``--fold-in``, whose folded
 rows the first swap would drop.
 
-``--max-requests N`` bounds either mode for smoke tests: the server
-counts *completed responses* and drains cleanly — the Nth reply is fully
+``--max-requests N`` bounds the server for smoke tests: it counts
+*completed responses* and drains cleanly — the Nth reply is fully
 written before the process exits (see ``repro.serve.http``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from pathlib import Path
 
 from .artifact import export_from_checkpoint, load_artifact
 from .errors import ServeError
 from .http import create_server, serve_until_drained
 from .service import RecommenderService
-from .shared import ArtifactWatcher
+from .shared import ArtifactWatcher, export_shared
 
 __all__ = ["export_main", "serve_main", "build_export_parser", "build_serve_parser"]
 
@@ -58,7 +52,8 @@ def build_export_parser() -> argparse.ArgumentParser:
                         help="export the best-validation snapshot instead of the final weights")
     parser.add_argument("--shared", action="store_true",
                         help="also explode the artifact into an mmap-able shared "
-                        "bundle directory (<out minus .npz>) for worker pools")
+                        "bundle directory (<out minus .npz>), the unit that "
+                        "publish_artifact and --hot-swap-poll deploy")
     return parser
 
 
@@ -75,25 +70,20 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8731, help="0 picks an ephemeral port")
     parser.add_argument("--cache-size", type=int, default=1024, metavar="N",
                         help="LRU response-cache capacity (0 disables)")
-    parser.add_argument("--index-k", type=int, default=0, metavar="K",
-                        help="precompute a top-K index for all users at startup")
     parser.add_argument("--max-requests", type=int, default=0, metavar="N",
                         help="exit after N completed responses (0 = serve forever); "
                         "used by smoke tests")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="fork N shard-scoped worker processes behind a router "
-                        "(0 = single-process serving, the default)")
-    parser.add_argument("--shards", type=int, default=0, metavar="M",
-                        help="shard the user space M ways (default: one per worker)")
-    parser.add_argument("--micro-batch", type=int, default=0, metavar="B",
-                        help="coalesce concurrent /recommend calls into batches of "
-                        "up to B per shard (0 disables)")
+                        help="kept so that command lines written for the removed worker "
+                        "pool still run (perf/run.py's swap phase passes --workers 1): "
+                        "0 and 1 both serve from this one process; any other value "
+                        "is refused, since serving is single-process")
     parser.add_argument("--hot-swap-poll", type=float, default=0.0, metavar="SECS",
                         help="poll the artifact path every SECS seconds and hot-swap "
                         "when its target changes (0 disables)")
     parser.add_argument("--fold-in", default=None, metavar="EVENTS",
                         help="repro.events/v1 JSON file folded into the loaded "
-                        "artifact before serving (repro.stream; single-process only)")
+                        "artifact before serving (repro.stream)")
     return parser
 
 
@@ -102,10 +92,10 @@ def export_main(argv: list[str]) -> int:
     args = build_export_parser().parse_args(argv)
     try:
         out = export_from_checkpoint(args.source, args.out, best=args.best)
+        artifact = load_artifact(out)  # self-check: refuse to leave an invalid file behind
     except (ServeError, KeyError, TypeError) as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return 2
-    artifact = load_artifact(out)  # self-check: refuse to leave an invalid file behind
     dataset = artifact.meta["dataset"]
     print(
         f"exported {artifact.model_name} (score_fn={artifact.score_fn}) "
@@ -113,36 +103,43 @@ def export_main(argv: list[str]) -> int:
         f"({dataset['n_users']} users × {dataset['n_items']} items) → {out}"
     )
     if args.shared:
-        from pathlib import Path
-
-        from .shared import export_shared
-
-        bundle = Path(str(out)[: -len(".npz")] if str(out).endswith(".npz") else f"{out}.bundle")
+        bundle = Path(out).with_suffix("")  # save_artifact returns the .npz it wrote
         try:
             export_shared(artifact, bundle)
+            load_artifact(bundle)  # same self-check as the .npz
         except ServeError as exc:
             print(f"export failed: {exc}", file=sys.stderr)
             return 2
-        load_shared_check = load_artifact(bundle)  # same self-check as the .npz
-        print(f"shared bundle ({load_shared_check.model_name}, mmap-able) → {bundle}")
+        print(f"shared bundle ({artifact.model_name}, mmap-able) → {bundle}")
     return 0
 
 
-def _serve_single(args) -> int:
-    """Single-process serving (the original ``repro serve`` shape)."""
+def serve_main(argv: list[str]) -> int:
+    """Entry point for the ``serve`` subcommand."""
+    args = build_serve_parser().parse_args(argv)
+    if args.workers not in (0, 1):
+        print(f"--workers {args.workers}: serving is single-process; "
+              "use --workers 0 or 1, or leave it out", file=sys.stderr)
+        return 2
+    if args.fold_in and args.hot_swap_poll > 0:
+        # The first swap would load the published artifact and drop the folded rows.
+        print("--fold-in cannot be combined with --hot-swap-poll", file=sys.stderr)
+        return 2
     try:
-        service = RecommenderService(
-            args.artifact, cache_size=args.cache_size, index_k=args.index_k
-        )
+        service = RecommenderService(args.artifact, cache_size=args.cache_size)
     except ServeError as exc:
         print(f"cannot serve {args.artifact}: {exc}", file=sys.stderr)
         return 2
     if args.fold_in:
-        from ..stream import StreamState, fold_into_service, read_events
+        from ..stream import FoldInUnsupported, StreamState, fold_into_service, read_events
 
-        state = StreamState.from_artifact(service.artifact)
-        report = state.ingest(read_events(args.fold_in))
-        folded = fold_into_service(service, state)
+        try:
+            state = StreamState.from_artifact(service.artifact)
+            report = state.ingest(read_events(args.fold_in))
+            folded = fold_into_service(service, state)
+        except (OSError, ValueError, FoldInUnsupported) as exc:
+            print(f"cannot fold {args.fold_in} into {args.artifact}: {exc}", file=sys.stderr)
+            return 2
         print(
             f"folded {args.fold_in}: {report.accepted} event(s), "
             f"{len(folded.meta['stream']['folded_users'])} user(s), "
@@ -175,68 +172,3 @@ def _serve_single(args) -> int:
             watcher.stop()
         server.server_close()
     return 0
-
-
-def _serve_pool(args) -> int:
-    """Pool serving: forked shard workers behind a user-hash router."""
-    from .pool import WorkerPool
-
-    n_shards = args.shards if args.shards > 0 else args.workers
-    try:
-        pool = WorkerPool(
-            args.artifact,
-            n_workers=args.workers,
-            n_shards=n_shards,
-            micro_batch=args.micro_batch,
-            cache_size=args.cache_size,
-            index_k=args.index_k,
-            hot_swap_poll_s=args.hot_swap_poll,
-        )
-    except ServeError as exc:
-        print(f"cannot serve {args.artifact}: {exc}", file=sys.stderr)
-        return 2
-    with pool:
-        router = pool.create_router(
-            host=args.host, port=args.port, max_requests=args.max_requests
-        )
-        try:
-            _, health = router.forward(0, "GET", "/health")
-            health = json.loads(health.decode("utf-8"))
-            model = health.get("model", "?")
-            score_fn = health.get("score_fn", "?")
-        except ServeError:
-            model, score_fn = "?", "?"
-        host, port = router.server_address[:2]
-        print(
-            f"serving {model} (score_fn={score_fn}) on http://{host}:{port} "
-            f"[{pool.n_workers} workers × {pool.n_shards} shards]",
-            flush=True,
-        )
-        try:
-            if router.bounded:
-                serve_until_drained(router)
-            else:
-                router.serve_forever()
-        except KeyboardInterrupt:
-            print("shutting down")
-        finally:
-            router.server_close()
-    return 0
-
-
-def serve_main(argv: list[str]) -> int:
-    """Entry point for the ``serve`` subcommand."""
-    args = build_serve_parser().parse_args(argv)
-    if args.workers < 0:
-        print("--workers must be >= 0", file=sys.stderr)
-        return 2
-    if args.fold_in and args.workers > 0:
-        print("--fold-in requires single-process serving (--workers 0)", file=sys.stderr)
-        return 2
-    if args.fold_in and args.hot_swap_poll > 0:
-        # The first swap would load the published artifact and drop the folded rows.
-        print("--fold-in cannot be combined with --hot-swap-poll", file=sys.stderr)
-        return 2
-    if args.workers > 0:
-        return _serve_pool(args)
-    return _serve_single(args)

@@ -14,8 +14,6 @@ string-matching messages:
 * :class:`BadRequestError` — a well-formed service received a bad
   request: user/item id out of range, non-positive ``k``, malformed
   parameters.
-* :class:`ShardRoutingError` — a request reached a worker that does not
-  own the user's shard (misconfigured router or stale shard map).
 
 Each class carries the HTTP status the JSON endpoint maps it to
 (``http_status``), so the wire contract lives next to the type instead
@@ -23,7 +21,6 @@ of in a lookup table inside the handler:
 
 =========================  ====
 ``BadRequestError``        400
-``ShardRoutingError``      421
 ``UnknownScoreFnError``    501
 ``ArtifactError``          503
 ``SchemaMismatchError``    503
@@ -39,7 +36,6 @@ __all__ = [
     "SchemaMismatchError",
     "UnknownScoreFnError",
     "BadRequestError",
-    "ShardRoutingError",
 ]
 
 
@@ -72,8 +68,3 @@ class BadRequestError(ServeError):
 
     http_status = 400
 
-
-class ShardRoutingError(ServeError):
-    """A request was routed to a worker that does not own the user's shard."""
-
-    http_status = 421

@@ -9,15 +9,15 @@ concurrent clients do not serialise behind one socket.  Routes:
 * ``POST /score``       → body ``{"user": U, "items": [...]}`` → scores
 
 Handlers speak HTTP/1.1 with explicit ``Content-Length``, so load
-clients and the shard router hold keep-alive connections instead of
-paying a TCP handshake per request.
+clients hold keep-alive connections instead of paying a TCP handshake
+per request.
 
 Error contract: every :class:`ServeError` subclass carries its own HTTP
 status (``errors.py``) and is rendered as ``{"error": ..., "type":
-<class name>}`` — ``BadRequestError`` → 400, ``ShardRoutingError`` → 421,
-``UnknownScoreFnError`` → 501, ``ArtifactError``/``SchemaMismatchError``
-→ 503, anything else typed → 500.  Unknown paths return 404.  The server
-never dies on a request error.
+<class name>}`` — ``BadRequestError`` → 400, ``UnknownScoreFnError`` →
+501, ``ArtifactError``/``SchemaMismatchError`` → 503, anything else
+typed → 500.  Unknown paths return 404.  The server never dies on a
+request error.
 
 Bounded serving (``max_requests=N``) exists for smoke tests and CI: the
 server counts *completed responses* — the counter moves only after the
@@ -80,11 +80,11 @@ def _parse_int(raw: str, name: str) -> int:
 class JSONHTTPServer(ThreadingHTTPServer):
     """Threaded JSON server with completed-response accounting.
 
-    Base for the single-service endpoint and the shard router.  With
-    ``max_requests > 0`` the server runs *bounded*: handler threads are
-    joined on close, keep-alive is disabled (each connection carries one
-    response, so no idle thread can stall the drain), and
-    :attr:`drained` fires once the Nth response has been written.
+    Base for the service endpoint.  With ``max_requests > 0`` the server
+    runs *bounded*: handler threads are joined on close, keep-alive is
+    disabled (each connection carries one response, so no idle thread can
+    stall the drain), and :attr:`drained` fires once the Nth response has
+    been written.
     """
 
     daemon_threads = True
@@ -152,10 +152,6 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
 
     def _reply(self, code: int, payload: dict) -> None:
         self._send_body(code, json.dumps(payload).encode("utf-8"), "application/json")
-
-    def _reply_raw(self, code: int, body: bytes, content_type: str = "application/json") -> None:
-        """Pass an upstream response through unchanged (router proxying)."""
-        self._send_body(code, body, content_type)
 
     def _guarded(self, handler) -> None:
         try:

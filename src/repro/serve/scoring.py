@@ -73,9 +73,8 @@ class FrozenScorer:
 
         A user's score row is **batch-size invariant**: a one-row call is
         padded to a two-row GEMM batch by
-        :meth:`~repro.families.ScoreFamily.score`, so per-request,
-        micro-batched, index-build and offline scoring all run the same
-        BLAS kernel.  The micro-batch hammer tests
-        (``tests/test_serve_batching.py``) lock this.
+        :meth:`~repro.families.ScoreFamily.score`, so per-request and
+        offline scoring run the same BLAS kernel.  The parity tests
+        (``tests/test_serve_parity.py``) lock this.
         """
         return self.family.score(self.arrays, users)

@@ -1,9 +1,8 @@
 """Shared (mmap-backed) artifact bundles and atomic hot-swap publishing.
 
 A ``repro.model/v1`` ``.npz`` is one compressed-container file: loading
-it copies every array into private process memory, so N worker processes
-hold N copies.  A *shared bundle* is the same document exploded into a
-directory of raw ``.npy`` files::
+it copies every array into private process memory.  A *shared bundle* is
+the same document exploded into a directory of raw ``.npy`` files::
 
     bundle/
       meta.json           # the artifact's __meta__ document, verbatim
@@ -12,11 +11,11 @@ directory of raw ``.npy`` files::
       seen_indptr.npy     # the exclude-seen CSR
       seen_indices.npy
 
-Workers open the arrays with ``np.load(..., mmap_mode="r")``: the OS
-maps the same page-cache pages into every process, so a pool of N
-workers shares **one** physical copy of the score arrays, copy-on-read
-and read-only (the maps are ``r``-mode; writes raise).  BLAS reads the
-maps directly — no materialisation.
+A server opens the arrays with ``np.load(..., mmap_mode="r")``: the OS
+maps the page-cache pages, so every process that loads the bundle shares
+**one** physical copy of the score arrays, read-only (the maps are
+``r``-mode; writes raise).  BLAS reads the maps directly — no
+materialisation.
 
 A bundle is never rewritten in place: :func:`export_shared` builds the
 new one in a sibling directory and renames it over the old, whose files
@@ -222,8 +221,7 @@ class ArtifactWatcher(threading.Thread):
     so a symlink flip (or a bundle replaced by :func:`export_shared`) is
     detected on the next poll.  A failed reload keeps serving the old
     snapshot and retries on the next change.  ``repro serve
-    --hot-swap-poll`` runs one in the single process and one in every
-    pool worker.
+    --hot-swap-poll`` runs one beside the server.
     """
 
     def __init__(self, path, service, poll_s: float = 1.0):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from ..utils import render_table
@@ -53,18 +54,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fold(args) -> int:
+    from ..families import FoldInUnsupported
     from ..serve.artifact import load_artifact, save_artifact
+    from ..serve.errors import ServeError
     from .append import fold_into_artifact
     from .events import StreamState, read_events
 
-    artifact = load_artifact(args.artifact)
-    state = StreamState.from_artifact(artifact)
-    report = state.ingest(read_events(args.events))
+    try:
+        artifact = load_artifact(args.artifact)
+        state = StreamState.from_artifact(artifact)
+        report = state.ingest(read_events(args.events))
+        folded = fold_into_artifact(artifact, state)
+    except (ServeError, OSError, ValueError, FoldInUnsupported) as exc:
+        print(f"cannot fold {args.events} into {args.artifact}: {exc}", file=sys.stderr)
+        return 2
     print(
         f"ingested {report.accepted} event(s) ({report.duplicates} duplicate(s), "
         f"{len(report.new_users)} new user(s), {len(report.new_items)} new item(s))"
     )
-    folded = fold_into_artifact(artifact, state)
     out = save_artifact(folded, args.out)
     stream = folded.meta["stream"]
     print(

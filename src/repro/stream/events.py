@@ -286,6 +286,8 @@ def read_events(path) -> list[Event]:
 
     Ids are checked as :meth:`StreamState.ingest` checks them: a JSON
     ``1.5`` or ``true`` raises ``ValueError`` instead of becoming id 1.
+    Any malformed content raises ``ValueError``; an unreadable file
+    raises ``OSError``.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("schema") != EVENTS_SCHEMA:
@@ -293,8 +295,15 @@ def read_events(path) -> list[Event]:
             f"{path} is not a {EVENTS_SCHEMA} document "
             f"(schema={doc.get('schema') if isinstance(doc, dict) else None!r})"
         )
+    rows = doc.get("events", [])
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: 'events' must be a list, got {type(rows).__name__}")
     events = []
-    for row in doc.get("events", []):
-        user, item = _event_ids(row["user"], row["item"])
-        events.append(Event(user, item, float(row.get("ts", 0.0))))
+    for row in rows:
+        try:
+            user, item, ts = row["user"], row["item"], float(row.get("ts", 0.0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed event {row!r}") from exc
+        user, item = _event_ids(user, item)
+        events.append(Event(user, item, ts))
     return events

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -104,6 +105,42 @@ class TestValidateAndWrite:
     def test_write_result_refuses_invalid(self, tmp_path):
         with pytest.raises(ValueError, match="invalid bench result"):
             write_result({"schema": "nope"}, tmp_path / "bad.json")
+
+
+class TestSeededCorruptions:
+    """Every seeded corruption of a valid document is reported."""
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        case = BenchCase(name="solo", group="g", setup=lambda q: None, fast=lambda s: None)
+        doc = run_cases([case], suite="unit", repeats=2)
+        assert validate_result(doc) == []
+        return doc
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.pop("schema"),
+            lambda d: d.__setitem__("schema", "repro.bench/v0"),
+            lambda d: d.pop("benchmarks"),
+            lambda d: d["benchmarks"][0].pop("name"),
+            lambda d: d["benchmarks"][0].pop("fast"),
+            lambda d: d["benchmarks"][0]["fast"].pop("times_s"),
+            lambda d: d["benchmarks"][0]["fast"].__setitem__("times_s", []),
+            lambda d: d["benchmarks"][0]["fast"]["times_s"].__setitem__(0, -1.0),
+            lambda d: d["benchmarks"][0].__setitem__(
+                "reference", d["benchmarks"][0]["fast"]
+            ),  # reference without a speedup
+        ],
+        ids=[
+            "no-schema", "wrong-schema", "no-benchmarks", "no-name", "no-fast",
+            "no-times", "empty-times", "negative-time", "reference-sans-speedup",
+        ],
+    )
+    def test_seeded_corruptions_are_rejected(self, document, corrupt):
+        document = copy.deepcopy(document)
+        corrupt(document)
+        assert validate_result(document) != []
 
 
 class TestCLI:

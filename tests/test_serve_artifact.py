@@ -336,7 +336,8 @@ class TestSaveReplaces:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "v2.npz"]
 
     def test_a_name_without_npz_gets_it_appended(self, artifact_path, tmp_path):
-        save_artifact(load_artifact(artifact_path), tmp_path / "copy")
+        written = save_artifact(load_artifact(artifact_path), tmp_path / "copy")
+        assert written == tmp_path / "copy.npz"
         assert load_artifact(tmp_path / "copy.npz").model_name == "Dense"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.npz", "model.npz"]
 

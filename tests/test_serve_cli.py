@@ -21,8 +21,10 @@ import pytest
 from repro.cli import main
 from repro.serve import load_artifact
 from repro.serve.cli import export_main, serve_main
+from repro.stream import write_events
 
 REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "fixtures" / "serve" / "golden_model.npz"
 
 
 class TestExportCLI:
@@ -52,6 +54,14 @@ class TestExportCLI:
         assert export_main([str(bad), "--out", str(tmp_path / "o.npz")]) == 2
         assert "export failed" in capsys.readouterr().err
 
+    def test_out_without_npz_exports_the_file_and_its_bundle(self, tiny_run_dir, tmp_path, capsys):
+        # savez appends .npz to "m": the self-check and the bundle follow the real file.
+        assert export_main([str(tiny_run_dir), "--out", str(tmp_path / "m"), "--shared"]) == 0
+        assert load_artifact(tmp_path / "m.npz").model_name == "CML"
+        assert load_artifact(tmp_path / "m").model_name == "CML"
+        assert (tmp_path / "m" / "meta.json").is_file()
+        assert f"→ {tmp_path / 'm.npz'}" in capsys.readouterr().out
+
     def test_shared_bundle_never_replaces_the_run_dir(self, tiny_run_dir, tmp_path, capsys):
         # --out runs/x.npz --shared names the bundle runs/x: the run dir itself.
         run = shutil.copytree(tiny_run_dir, tmp_path / "run")
@@ -68,13 +78,36 @@ class TestServeCLI:
         assert serve_main([str(bad)]) == 2
         assert "cannot serve" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["2", "-1"])
+    def test_workers_beyond_one_exits_2(self, workers, capsys):
+        assert serve_main([str(GOLDEN), "--workers", workers]) == 2
+        assert "serving is single-process" in capsys.readouterr().err
+
+    def test_fold_in_on_an_unfoldable_artifact_exits_2(self, tmp_path, capsys):
+        events = write_events([(0, 1)], tmp_path / "events.json")
+        assert serve_main([str(GOLDEN), "--fold-in", str(events)]) == 2
+        assert "cannot fold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document",
+        [None, '{"schema": "repro.run/v1"}', "not json",
+         '{"schema": "repro.events/v1", "events": [[0, 1]]}'],
+        ids=["missing", "wrong-schema", "not-json", "rows-not-objects"],
+    )
+    def test_bad_fold_in_file_exits_2(self, tmp_path, capsys, document):
+        events = tmp_path / "events.json"
+        if document is not None:
+            events.write_text(document)
+        assert serve_main([str(GOLDEN), "--fold-in", str(events)]) == 2
+        assert "cannot fold" in capsys.readouterr().err
+
     def test_serve_subprocess_answers_requests(self, tiny_run_dir, tmp_path):
         artifact = tmp_path / "cml.npz"
         assert export_main([str(tiny_run_dir), "--out", str(artifact)]) == 0
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", str(artifact),
-                "--port", "0", "--max-requests", "3", "--index-k", "12",
+                "--port", "0", "--max-requests", "3",
             ],
             cwd=REPO,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
@@ -94,7 +127,7 @@ class TestServeCLI:
             assert len(recommendation["items"]) == 5
             with urllib.request.urlopen(f"{base}/stats", timeout=10) as response:
                 stats = json.loads(response.read())
-            assert stats["index"] == {"k": 12, "exclude_seen": True}
+            assert stats["requests"]["recommend"] == 1
         finally:
             try:
                 process.wait(timeout=15)

@@ -4,8 +4,9 @@ Serving runs the frozen Eq. 17 arrays, so a server process must not pay
 for the training stack at start-up: no scipy, no networkx, no autodiff,
 manifolds, models, taxonomy or train module.  Each check runs in a fresh
 interpreter, serves real requests through ``repro.cli.main`` and then
-lists what ``sys.modules`` holds, for the single process and for the
-router process of a ``--workers 1 --hot-swap-poll`` deployment.
+lists what ``sys.modules`` holds, for a plain artifact and for the
+benchmark's swap-phase command line (``<link> --workers 1
+--hot-swap-poll``).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def test_single_process_server_loads_no_training_stack():
     assert report == {"code": 0, "loaded": []}
 
 
-def test_pool_router_loads_no_training_stack(tmp_path):
+def test_swap_phase_command_loads_no_training_stack(tmp_path):
     link = tmp_path / "live"
     publish_artifact(export_shared(GOLDEN, tmp_path / "bundle"), link)
     report = _serve_and_list_modules(str(link), "--workers", "1", "--hot-swap-poll", "0.2")

@@ -5,8 +5,8 @@ endpoint must render it as ``{"error": ..., "type": <class name>}`` with
 that code — clients dispatch on the type, monitors on the status class
 (4xx caller bug vs 5xx serving trouble).  Tested generically with a stub
 service that raises each class on demand, plus the real integration
-paths for the codes a production client will actually meet (400 bad
-request, 421 misrouted shard).
+paths for the code a production client will actually meet (400 bad
+request).
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.serve import RecommenderService, create_router, create_server, export_payload
+from repro.serve import RecommenderService, create_server, export_payload
 from repro.serve.errors import (
     ArtifactError,
     BadRequestError,
     SchemaMismatchError,
     ServeError,
-    ShardRoutingError,
     UnknownScoreFnError,
 )
 
@@ -36,7 +35,6 @@ ERROR_CLASSES = [
     (SchemaMismatchError, 503),
     (UnknownScoreFnError, 501),
     (BadRequestError, 400),
-    (ShardRoutingError, 421),
 ]
 
 
@@ -167,7 +165,7 @@ def real_base(tiny_split, tmp_path_factory):
         train=train,
         model_name="Dense",
     )
-    service = RecommenderService(path, shard=(0, 4))
+    service = RecommenderService(path)
     server, thread = _serve(service)
     yield server.server_address[:2], service
     _stop(server, thread)
@@ -185,14 +183,10 @@ BAD_SCORE_IDS = {
 
 
 @pytest.fixture(scope="module")
-def golden_fronts():
-    """The golden artifact on a single-process server and on a router in front of it."""
+def golden_base():
+    """The golden artifact on a live server."""
     server, thread = _serve(RecommenderService(GOLDEN))
-    router = create_router([server.server_address[:2]], n_shards=1)
-    router_thread = threading.Thread(target=router.serve_forever, daemon=True)
-    router_thread.start()
-    yield {"single": server.server_address[:2], "router": router.server_address[:2]}
-    _stop(router, router_thread)
+    yield server.server_address[:2]
     _stop(server, thread)
 
 
@@ -211,35 +205,17 @@ class TestRealPaths:
             assert body["type"] == "BadRequestError"
 
     @pytest.mark.parametrize("body", list(BAD_SCORE_IDS.values()), ids=list(BAD_SCORE_IDS))
-    def test_bad_score_ids_are_400_on_both_front_ends(self, golden_fronts, body):
-        for front, base in golden_fronts.items():
-            status, reply = _request(base, "POST", "/score", body)
-            assert (status, reply.get("type")) == (400, "BadRequestError"), (front, reply)
+    def test_bad_score_ids_are_400(self, golden_base, body):
+        status, reply = _request(golden_base, "POST", "/score", body)
+        assert (status, reply.get("type")) == (400, "BadRequestError"), reply
 
     @pytest.mark.parametrize("length", [-1, 10**15], ids=["negative", "beyond-max"])
-    def test_out_of_range_content_length_is_400_on_both_front_ends(self, golden_fronts, length):
+    def test_out_of_range_content_length_is_400(self, golden_base, length):
         # A negative length used to hold the handler until the socket timed
         # out; a huge one allocated it up front (500 MemoryError).
-        for front, base in golden_fronts.items():
-            status, reply = _score_with_length(base, length)
-            assert (status, reply.get("type")) == (400, "BadRequestError"), (front, reply)
-            assert _get(base, "/health")[0] == 200, front
-
-    def test_misrouted_user_is_421_on_the_wire(self, real_base):
-        from repro.serve import shard_for_user
-
-        base, service = real_base
-        foreign = next(
-            u for u in range(service.n_users) if shard_for_user(u, 4) != 0
-        )
-        status, body = _get(base, f"/recommend?user={foreign}&k=3")
-        assert status == 421
-        assert body["type"] == "ShardRoutingError"
-        owned = next(
-            u for u in range(service.n_users) if shard_for_user(u, 4) == 0
-        )
-        status, _ = _get(base, f"/recommend?user={owned}&k=3")
-        assert status == 200
+        status, reply = _score_with_length(golden_base, length)
+        assert (status, reply.get("type")) == (400, "BadRequestError"), reply
+        assert _get(golden_base, "/health")[0] == 200
 
     def test_unknown_route_stays_404(self, real_base):
         base, _ = real_base

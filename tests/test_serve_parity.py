@@ -25,7 +25,7 @@ import pytest
 
 from repro.eval import topk_ranking
 from repro.models import MODEL_REGISTRY, TrainConfig
-from repro.serve import RecommenderService, ShardedService, export_model, load_artifact
+from repro.serve import RecommenderService, export_model, load_artifact
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 PARITY_KS = (1, 10, 50)
@@ -76,28 +76,6 @@ def test_service_topk_identical_to_evaluator(frozen, tiny_split, name, k):
         np.testing.assert_array_equal(items, topk[i], err_msg=f"{name} user {user} k={k}")
         # Served scores come back in ranking order: non-increasing.
         assert np.all(np.diff(scores) <= 0)
-
-
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_sharded_deployment_bit_identical_to_flat_service(frozen, name):
-    """A sharded + micro-batched deployment ≡ the flat service, bit for bit.
-
-    This is the scale-out contract: sharding the user space and coalescing
-    requests are pure routing/transport concerns — for every registry
-    model and every user, the sharded facade must return the *identical*
-    ``(items, scores)`` arrays the single service returns (same frozen
-    scorers, batch-size-invariant by construction).
-    """
-    _, artifact, service = frozen(name)
-    sharded = ShardedService(artifact, n_shards=3, micro_batch=4)
-    try:
-        for user in range(artifact.n_users):
-            items, scores = service.recommend(user, k=10)
-            sharded_items, sharded_scores = sharded.recommend(user, k=10)
-            np.testing.assert_array_equal(sharded_items, items, err_msg=f"{name} user {user}")
-            np.testing.assert_array_equal(sharded_scores, scores, err_msg=f"{name} user {user}")
-    finally:
-        sharded.close()
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

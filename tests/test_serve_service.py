@@ -167,49 +167,14 @@ class TestLRUCache:
         assert service.cache_size == 0
 
     def test_invalidate_clears_and_recomputes_identically(self, artifact):
-        service = RecommenderService(artifact, cache_size=16, index_k=12)
+        service = RecommenderService(artifact, cache_size=16)
         before = service.recommend(3, k=8)
         service.invalidate()
         assert service.cache_size == 0
-        assert service.stats()["index"] is None
         assert service.stats()["cache"]["invalidations"] == 1
         after = service.recommend(3, k=8)
         np.testing.assert_array_equal(before[0], after[0])
         np.testing.assert_array_equal(before[1], after[1])
-
-
-class TestIndex:
-    def test_index_prefix_equals_direct_computation(self, artifact):
-        indexed = RecommenderService(artifact, cache_size=0, index_k=20)
-        direct = RecommenderService(artifact, cache_size=0)
-        for user in range(0, artifact.n_users, 5):
-            for k in (1, 7, 20):
-                a_items, a_scores = indexed.recommend(user, k=k)
-                b_items, b_scores = direct.recommend(user, k=k)
-                np.testing.assert_array_equal(a_items, b_items)
-                np.testing.assert_array_equal(a_scores, b_scores)
-
-    def test_requests_beyond_index_fall_back(self, artifact):
-        indexed = RecommenderService(artifact, cache_size=0, index_k=5)
-        direct = RecommenderService(artifact, cache_size=0)
-        a_items, _ = indexed.recommend(0, k=30)
-        b_items, _ = direct.recommend(0, k=30)
-        np.testing.assert_array_equal(a_items, b_items)
-
-    def test_index_only_serves_matching_exclude_seen(self, artifact):
-        indexed = RecommenderService(artifact, cache_size=0, index_k=20)
-        direct = RecommenderService(artifact, cache_size=0)
-        a_items, _ = indexed.recommend(0, k=10, exclude_seen=False)
-        b_items, _ = direct.recommend(0, k=10, exclude_seen=False)
-        np.testing.assert_array_equal(a_items, b_items)
-
-    def test_bad_index_k_rejected(self, artifact):
-        with pytest.raises(BadRequestError):
-            RecommenderService(artifact, index_k=-4)
-
-    def test_stats_reports_index(self, artifact):
-        service = RecommenderService(artifact, index_k=15)
-        assert service.stats()["index"] == {"k": 15, "exclude_seen": True}
 
 
 class TestStats:

@@ -120,49 +120,6 @@ def test_stats_identities_hold_after_concurrent_storm(artifact_path, ops):
     assert stats["throughput_rps"] >= 0.0
 
 
-@given(
-    batches=st.lists(
-        st.lists(st.integers(0, 59), min_size=1, max_size=12), min_size=1, max_size=10
-    )
-)
-@settings(max_examples=15, deadline=None)
-def test_batch_accounting_under_concurrency(artifact_path, batches):
-    """``recommend_batch`` counts every row, times every row, caches uniques."""
-    service = RecommenderService(artifact_path, cache_size=256)
-    errors = []
-    barrier = threading.Barrier(min(N_THREADS, len(batches)))
-    chunks = [batches[i::N_THREADS] for i in range(min(N_THREADS, len(batches)))]
-
-    def worker(chunk):
-        barrier.wait()
-        for users in chunk:
-            try:
-                items, scores = service.recommend_batch(users, k=5)
-                assert items.shape == (len(users), 5)
-                assert scores.shape == (len(users), 5)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(c,)) for c in chunks]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert errors == []
-
-    stats = service.stats()
-    total_rows = sum(len(users) for users in batches)
-    unique_per_batch = sum(len(set(users)) for users in batches)
-    assert stats["requests"]["recommend"] == total_rows
-    assert stats["latency"]["count"] == total_rows
-    # Cache lookups happen once per *unique* user per batch.
-    cache = stats["cache"]
-    assert cache["hits"] + cache["misses"] == unique_per_batch
-    # Distinct users across the whole workload bounds the cache content.
-    distinct = len({u for users in batches for u in users})
-    assert cache["size"] <= distinct
-
-
 def test_stats_swap_telemetry_under_load(artifact_path, tiny_split, tmp_path):
     """Version/swap counters stay exact while requests race a hot swap."""
     rng = np.random.default_rng(61)

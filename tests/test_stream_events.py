@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.stream import EVENTS_SCHEMA, Event, StreamState, read_events, write_events
+from repro.stream.cli import main as stream_main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "stream" / "golden_model.npz"
 
 
 def _state_with_baseline():
@@ -154,6 +159,51 @@ def test_read_events_rejects_wrong_schema(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError):
         read_events(path)
+
+
+@pytest.mark.parametrize(
+    "events",
+    [{"user": 0}, [[0, 1]], ["0,1"], [{"user": 0, "item": 1, "ts": None}], [{"item": 1}]],
+    ids=["events-not-a-list", "row-is-a-list", "row-is-a-string", "ts-not-a-number", "no-user"],
+)
+def test_read_events_rejects_malformed_rows_with_value_error(tmp_path, events):
+    path = tmp_path / "events.json"
+    path.write_text(json.dumps({"schema": EVENTS_SCHEMA, "events": events}))
+    with pytest.raises(ValueError, match="events.json"):
+        read_events(path)
+
+
+class TestStreamFoldCLI:
+    def test_writes_the_npz_it_names(self, tmp_path, capsys):
+        events = write_events([(0, 1), (1, 2)], tmp_path / "events.json")
+        out = tmp_path / "folded"
+        assert stream_main(["fold", str(GOLDEN), "--events", str(events), "--out", str(out)]) == 0
+        assert f"wrote {tmp_path / 'folded.npz'} " in capsys.readouterr().out
+
+    def test_unfoldable_artifact_exits_2(self, tmp_path, capsys):
+        events = write_events([(0, 1)], tmp_path / "events.json")
+        dense = FIXTURES / "serve" / "golden_model.npz"
+        argv = ["fold", str(dense), "--events", str(events), "--out", str(tmp_path / "out.npz")]
+        assert stream_main(argv) == 2
+        assert "cannot fold" in capsys.readouterr().err
+
+    def test_missing_artifact_exits_2(self, tmp_path, capsys):
+        events = write_events([(0, 1)], tmp_path / "events.json")
+        argv = ["fold", str(tmp_path / "nope.npz"), "--events", str(events),
+                "--out", str(tmp_path / "out.npz")]
+        assert stream_main(argv) == 2
+        assert "cannot fold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", ['{"schema": "repro.run/v1"}', "not json", None],
+                             ids=["wrong-schema", "not-json", "missing"])
+    def test_bad_events_file_exits_2(self, tmp_path, capsys, document):
+        events = tmp_path / "events.json"
+        if document is not None:
+            events.write_text(document)
+        argv = ["fold", str(GOLDEN), "--events", str(events), "--out", str(tmp_path / "out.npz")]
+        assert stream_main(argv) == 2
+        assert "cannot fold" in capsys.readouterr().err
+        assert not (tmp_path / "out.npz").exists()
 
 
 def test_baseline_free_state_treats_everything_as_new_delta():
