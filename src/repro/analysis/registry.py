@@ -84,7 +84,7 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 
 
 def _load_rules() -> None:
-    from . import rules as _rules  # noqa: F401  (import registers the rules)
+    from . import rules as _rules  # repro-lint: disable=unused-import (registers the rules)
 
 
 def all_rules() -> Iterator[Rule]:

@@ -1,3 +1,3 @@
 """Rule modules; importing this package registers every rule."""
 
-from . import autodiff_contracts, hygiene, numerics  # noqa: F401
+from . import autodiff_contracts, hygiene, numerics  # repro-lint: disable=unused-import

@@ -138,3 +138,67 @@ class PrintCall(Rule):
                     "print() bypasses the shared logger; use "
                     "repro.utils.logging.get_logger()",
                 )
+
+
+@register
+class UnusedImport(Rule):
+    """An imported name that nothing in the file reads is dead weight.
+
+    It costs import time and keeps a dependency on the page that the code
+    no longer has.  A name counts as read when the file loads it anywhere,
+    lists it in ``__all__`` or names it in a quoted annotation.  An import
+    kept only for its side effect (registering rules, say) takes a line
+    suppression.
+    """
+
+    name = "unused-import"
+    description = (
+        "imported name is never used; delete it (suppress an import kept for its side effect)"
+    )
+
+    def check(self, ctx: FileContext) -> Iterable[Violation]:
+        imported = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                imported += [(alias.asname or alias.name.partition(".")[0], alias)
+                             for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [(alias.asname or alias.name, alias)
+                             for alias in node.names if alias.name != "*"]
+        if not imported:
+            return
+        read = _names_read(ctx.tree)
+        for name, alias in imported:
+            if name not in read:
+                yield ctx.violation(self, alias, f"{name!r} is imported but never used")
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a module loads, exports through ``__all__`` or quotes in an annotation."""
+    read: set[str] = set()
+    annotations: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets) and isinstance(
+                node.value, (ast.List, ast.Tuple)
+            ):
+                read.update(elt.value for elt in node.value.elts
+                            if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return read

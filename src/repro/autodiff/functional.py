@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import maximum, where
+from .ops import maximum
 from .tensor import Tensor
 
 __all__ = [

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataset import InteractionDataset
 
 __all__ = ["DatasetStats", "compute_stats"]

@@ -8,8 +8,6 @@ margin ranking loss acts on squared hyperbolic distances under RSGD.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..autodiff import Parameter, Tensor, hinge
 from ..data import InteractionDataset
 from ..manifolds import Lorentz

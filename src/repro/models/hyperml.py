@@ -10,8 +10,6 @@ This model doubles as the paper's **Hyper + CML** ablation row.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..autodiff import Parameter, Tensor, hinge
 from ..data import InteractionDataset
 from ..manifolds import Lorentz

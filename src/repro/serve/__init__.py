@@ -9,8 +9,8 @@ The serving spine is ``train → export → serve``:
   ``recommend(user, k, exclude_seen=True)`` / ``score(user, items)``
   with pure-numpy scoring, a bounded LRU cache, and latency/throughput
   counters;
-* :func:`create_server` wraps a service in a stdlib JSON HTTP endpoint
-  (``python -m repro serve``, one process).
+* :func:`create_server` wraps a service in a keep-alive JSON HTTP/1.1
+  endpoint (``python -m repro serve``, one process).
 
 Served rankings are guaranteed identical to the offline evaluator's
 (same deterministic ``(-score, id)`` tiebreak, same exclude-seen

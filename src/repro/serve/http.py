@@ -1,16 +1,32 @@
-"""A stdlib JSON endpoint over :class:`RecommenderService`.
+"""A JSON endpoint over :class:`RecommenderService` on a small HTTP/1.1 layer.
 
-No web framework — ``http.server`` from the standard library, threaded so
-concurrent clients do not serialise behind one socket.  Routes:
+No web framework and no ``http.server``: a ``socketserver``
+thread-per-connection TCP server with its own request reader and reply
+writer, written for the four routes below.  Routes:
 
 * ``GET  /health``      → ``{"status": "ok", "model": ..., "schema": ...}``
 * ``GET  /stats``       → the service's :meth:`stats` snapshot
 * ``GET  /recommend?user=U&k=K&exclude_seen=1`` → top-K items + scores
 * ``POST /score``       → body ``{"user": U, "items": [...]}`` → scores
 
-Handlers speak HTTP/1.1 with explicit ``Content-Length``, so load
-clients hold keep-alive connections instead of paying a TCP handshake
-per request.
+Wire rules:
+
+* The request line and headers (lines ending in CRLF) are read into one
+  receive buffer and must fit in :data:`MAX_HEAD_BYTES` (64 KiB).  A body
+  is framed by ``Content-Length`` only, which must lie in
+  ``[0, MAX_BODY_BYTES]``; it is checked before any of the body is read.
+* Connections are kept alive: an HTTP/1.1 client keeps its connection
+  until it sends ``Connection: close``, an HTTP/1.0 client only when it
+  sends ``Connection: keep-alive``.  Pipelined requests are answered in
+  order, and ``Expect: 100-continue`` gets ``100 Continue`` before the
+  body is read.
+* Each reply (status line, ``Content-Type``, ``Content-Length``, a
+  ``Date`` formatted at most once a second, ``Connection: close`` when
+  the server closes after it, and the body) goes out in one ``sendall``.
+* A request the reader cannot parse (no HTTP/1.x version, a header line
+  without a colon, a head over the cap, a bad ``Content-Length``, a
+  chunked body, a method other than GET or POST) gets a 400 with the
+  typed JSON body below, and the connection is closed.
 
 Error contract: every :class:`ServeError` subclass carries its own HTTP
 status (``errors.py``) and is rendered as ``{"error": ..., "type":
@@ -25,17 +41,19 @@ reply bytes are handed to the socket — and sets :attr:`drained` when the
 budget is spent.  The owner then calls ``shutdown()`` +
 ``server_close()``; handler threads are non-daemon in bounded mode, so
 ``server_close`` joins them and the final in-flight response is always
-fully written before the process exits (the regression suite in
-``tests/test_serve_http.py`` pins this; counting *accepted connections*
+fully written before the process exits (``TestBoundedDrain`` in
+``tests/test_serve_pool.py`` pins this; counting *accepted connections*
 instead — the old behaviour — raced exactly that last reply).
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+import time
+from urllib.parse import unquote
 
 from ..utils import get_logger
 from .artifact import MODEL_SCHEMA
@@ -43,8 +61,7 @@ from .errors import BadRequestError, ServeError
 
 __all__ = [
     "MAX_BODY_BYTES",
-    "JSONHTTPServer",
-    "JSONRequestHandler",
+    "MAX_HEAD_BYTES",
     "ServiceHTTPServer",
     "create_server",
     "serve_until_drained",
@@ -53,9 +70,24 @@ __all__ = [
 logger = get_logger("repro.serve.http")
 
 # Largest POST body read (8 MiB, ~900k item ids in a /score call).  The
-# length is checked before reading: a buffered read(n) allocates n bytes
-# up front, and a negative n would read until the peer closes.
+# length is checked before reading: the body buffer is allocated up front.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+# Largest request line plus headers; also the size of one receive.
+MAX_HEAD_BYTES = 64 * 1024
+
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    500: "Internal Server Error",
+    501: "Not Implemented",
+    503: "Service Unavailable",
+}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_CLOSE = "Connection: close\r\n"
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -77,32 +109,98 @@ def _parse_int(raw: str, name: str) -> int:
         raise BadRequestError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-class JSONHTTPServer(ThreadingHTTPServer):
-    """Threaded JSON server with completed-response accounting.
+def _parse_query(query: str) -> dict[str, str]:
+    """First value of each query parameter, as ``urllib.parse.parse_qs`` reads it.
 
-    Base for the service endpoint.  With ``max_requests > 0`` the server
-    runs *bounded*: handler threads are joined on close, keep-alive is
-    disabled (each connection carries one response, so no idle thread can
-    stall the drain), and :attr:`drained` fires once the Nth response has
-    been written.
+    ``&``-separated ``name=value`` pairs, ``+`` as a space, percent-escapes
+    decoded; a pair without ``=`` or with an empty value is skipped.
+    """
+    params: dict[str, str] = {}
+    for pair in query.split("&"):
+        name, sep, value = pair.partition("=")
+        if sep and value:
+            params.setdefault(unquote(name.replace("+", " ")), unquote(value.replace("+", " ")))
+    return params
+
+
+def _typed_error(exc: ServeError) -> dict:
+    return {"error": str(exc), "type": type(exc).__name__}
+
+
+def _http_date(now: int) -> str:
+    """An RFC 9110 ``Date`` value (IMF-fixdate) for ``now`` seconds since the epoch."""
+    t = time.gmtime(now)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+class _Request:
+    """One parsed request head: what routing and framing need."""
+
+    __slots__ = ("method", "path", "query", "length", "expect_continue", "close")
+
+    def __init__(self, head: str):
+        line, _, rest = head.partition("\r\n")
+        words = line.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0"):
+            raise BadRequestError(f"malformed request line {line[:200]!r}")
+        method, target, version = words
+        if method not in ("GET", "POST"):
+            raise BadRequestError(f"unsupported method {method[:20]!r}")
+        headers: dict[str, str] = {}
+        for field in rest.split("\r\n") if rest else ():
+            name, sep, value = field.partition(":")
+            if not sep:
+                raise BadRequestError(f"malformed header line {field[:200]!r}")
+            headers.setdefault(name.strip().lower(), value.strip())
+        if "transfer-encoding" in headers:
+            raise BadRequestError("chunked request bodies are not supported; send Content-Length")
+        try:
+            length = int(headers.get("content-length", 0))
+        except ValueError as exc:
+            raise BadRequestError("invalid Content-Length header") from exc
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise BadRequestError(
+                f"Content-Length must be between 0 and {MAX_BODY_BYTES} bytes, got {length}"
+            )
+        tokens = {token.strip() for token in headers.get("connection", "").lower().split(",")}
+        self.method = method
+        self.path, _, self.query = target.partition("?")
+        self.length = length
+        self.expect_continue = (
+            version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue"
+        )
+        self.close = "close" in tokens or (version == "HTTP/1.0" and "keep-alive" not in tokens)
+
+
+class ServiceHTTPServer(socketserver.ThreadingTCPServer):
+    """Thread-per-connection JSON server bound to one recommend/score service.
+
+    With ``max_requests > 0`` the server runs *bounded*: handler threads
+    are joined on close, keep-alive is disabled (each connection carries
+    one response, so no idle thread can stall the drain), and
+    :attr:`drained` fires once the Nth response has been written.
     """
 
     daemon_threads = True
+    allow_reuse_address = True
     # socketserver's default listen backlog is 5; a burst of concurrent
     # clients overflows it and the dropped SYNs retry after ~1s, which
     # reads as a huge latency tail.  128 absorbs any realistic burst.
     request_queue_size = 128
 
-    def __init__(self, address: tuple[str, int], handler, max_requests: int = 0):
-        super().__init__(address, handler)
+    def __init__(self, address: tuple[str, int], service, max_requests: int = 0):
+        self.service = service
         self.max_requests = max(int(max_requests), 0)
         self.drained = threading.Event()
         self._served_lock = threading.Lock()
         self._served = 0
+        self._date = (0, "")
         if self.bounded:
             # Non-daemon handler threads: server_close() joins the final
             # in-flight reply instead of racing it at interpreter exit.
             self.daemon_threads = False
+        super().__init__(address, _Handler)
 
     @property
     def bounded(self) -> bool:
@@ -114,105 +212,128 @@ class JSONHTTPServer(ThreadingHTTPServer):
             return self._served
 
     def note_response_written(self) -> None:
-        """Called by handlers after a response body is handed to the socket."""
+        """Called by handlers after a response is handed to the socket."""
         with self._served_lock:
             self._served += 1
             if self.bounded and self._served >= self.max_requests:
                 self.drained.set()
 
+    def http_date(self) -> str:
+        """The ``Date`` header value, formatted at most once a second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            text = _http_date(now)
+            self._date = (now, text)
+        return text
 
-class JSONRequestHandler(BaseHTTPRequestHandler):
-    """Shared plumbing: JSON replies, typed error mapping, drain accounting."""
 
-    server: JSONHTTPServer
-    protocol_version = "HTTP/1.1"
+class _Handler(socketserver.BaseRequestHandler):
+    """Reads requests off one connection and answers each with one write."""
+
+    server: ServiceHTTPServer
+    request: socket.socket
     timeout = 30  # a stalled peer cannot wedge a handler thread forever
-    # Headers and body go out as separate writes on a keep-alive socket;
-    # without TCP_NODELAY, Nagle holds the body until the header segment
-    # is ACKed and every response eats a ~40ms delayed-ACK stall.
-    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        sock = self.request
+        sock.settimeout(self.timeout)
+        # Replies are one write each, but a pipelined client would still
+        # wait out Nagle's ~40 ms on the second reply without this.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._buf = bytearray()
+        try:
+            while self._serve_one():
+                pass
+        except OSError:
+            pass  # the peer reset, hung up or timed out: nothing left to answer
 
     # ------------------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 (stdlib signature)
-        logger.debug("%s - %s", self.address_string(), format % args)
-
-    def _send_body(self, code: int, body: bytes, content_type: str) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.server.bounded:
-            # One response per connection in bounded mode: the handler
-            # thread exits right after this reply, so the drain join in
-            # server_close() never waits on an idle keep-alive socket.
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
-        self.server.note_response_written()
-
-    def _reply(self, code: int, payload: dict) -> None:
-        self._send_body(code, json.dumps(payload).encode("utf-8"), "application/json")
-
-    def _guarded(self, handler) -> None:
+    def _serve_one(self) -> bool:
+        """Read and answer one request; whether to keep the connection open."""
         try:
-            code, payload = handler()
-        except ServeError as exc:
-            code = exc.http_status
-            payload = {"error": str(exc), "type": type(exc).__name__}
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            logger.exception("unhandled serving error")
-            code, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        self._reply(code, payload)
+            head = self._read_head()
+            if head is None:
+                return False
+            request = _Request(head)
+        except BadRequestError as exc:
+            self._reply(exc.http_status, _typed_error(exc), close=True)
+            return False
+        if request.expect_continue and len(self._buf) < request.length:
+            self.request.sendall(_CONTINUE)
+        body = self._read_body(request.length)
+        if body is None:
+            return False
+        close = request.close or self.server.bounded
+        code, payload = self._guarded(request, body)
+        self._reply(code, payload, close)
+        return not close
 
-    def _read_json_body(self) -> dict:
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError as exc:
-            raise BadRequestError("invalid Content-Length header") from exc
-        if not 0 <= length <= MAX_BODY_BYTES:
-            self.close_connection = True  # the unread body would desync keep-alive
-            raise BadRequestError(
-                f"Content-Length must be between 0 and {MAX_BODY_BYTES} bytes, got {length}"
-            )
-        raw = self.rfile.read(length) if length else b""
-        try:
-            body = json.loads(raw.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise BadRequestError(f"request body is not valid JSON: {exc}") from exc
+    def _read_head(self) -> str | None:
+        """The next request line and headers, or None if the peer hung up first."""
+        buf = self._buf
+        start = 0
+        while True:
+            end = buf.find(b"\r\n\r\n", start)
+            if end > MAX_HEAD_BYTES or (end < 0 and len(buf) >= MAX_HEAD_BYTES):
+                raise BadRequestError(f"request head is larger than {MAX_HEAD_BYTES} bytes")
+            if end >= 0:
+                head = buf[:end].decode("latin-1")
+                del buf[:end + 4]
+                return head
+            start = max(len(buf) - 3, 0)
+            chunk = self.request.recv(MAX_HEAD_BYTES)
+            if not chunk:
+                return None
+            buf += chunk
+
+    def _read_body(self, length: int) -> bytes | None:
+        """``length`` bytes of body, or None if the peer hung up first."""
+        buf = self._buf
+        while len(buf) < length:
+            chunk = self.request.recv(max(length - len(buf), MAX_HEAD_BYTES))
+            if not chunk:
+                return None
+            buf += chunk
+        body = bytes(buf[:length])
+        del buf[:length]
         return body
 
-
-class ServiceHTTPServer(JSONHTTPServer):
-    """Threaded HTTP server bound to one recommend/score service."""
-
-    def __init__(self, address: tuple[str, int], service, max_requests: int = 0):
-        super().__init__(address, _Handler, max_requests)
-        self.service = service
-
-
-class _Handler(JSONRequestHandler):
-    server: ServiceHTTPServer
-
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        url = urlparse(self.path)
-        if url.path == "/health":
-            self._guarded(self._health)
-        elif url.path == "/stats":
-            self._guarded(lambda: (200, self.server.service.stats()))
-        elif url.path == "/recommend":
-            self._guarded(lambda: self._recommend(parse_qs(url.query)))
-        else:
-            self._reply(404, {"error": f"unknown path {url.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        url = urlparse(self.path)
-        if url.path == "/score":
-            self._guarded(self._score)
-        else:
-            self._reply(404, {"error": f"unknown path {url.path!r}"})
+    def _reply(self, code: int, payload: dict, close: bool) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        head = (
+            f"HTTP/1.1 {code} {_REASONS.get(code, '')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Date: {self.server.http_date()}\r\n"
+            f"{_CLOSE if close else ''}\r\n"
+        )
+        self.request.sendall(head.encode("latin-1") + body)
+        self.server.note_response_written()
 
     # ------------------------------------------------------------------
+    def _guarded(self, request: _Request, body: bytes) -> tuple[int, dict]:
+        try:
+            return self._route(request, body)
+        except ServeError as exc:
+            return exc.http_status, _typed_error(exc)
+        except Exception as exc:  # pragma: no cover - last-resort guard
+            logger.exception("unhandled serving error")
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+
+    def _route(self, request: _Request, body: bytes) -> tuple[int, dict]:
+        path = request.path
+        if request.method == "GET":
+            if path == "/recommend":
+                return self._recommend(_parse_query(request.query))
+            if path == "/health":
+                return self._health()
+            if path == "/stats":
+                return 200, self.server.service.stats()
+        elif path == "/score":
+            return self._score(body)
+        return 404, {"error": f"unknown path {path!r}"}
+
     def _health(self) -> tuple[int, dict]:
         service = self.server.service
         return 200, {
@@ -224,13 +345,13 @@ class _Handler(JSONRequestHandler):
             "n_items": service.n_items,
         }
 
-    def _recommend(self, query: dict[str, list[str]]) -> tuple[int, dict]:
+    def _recommend(self, query: dict[str, str]) -> tuple[int, dict]:
         if "user" not in query:
             raise BadRequestError("missing required query parameter 'user'")
-        user = _parse_int(query["user"][0], "user")
-        k = _parse_int(query["k"][0], "k") if "k" in query else 10
+        user = _parse_int(query["user"], "user")
+        k = _parse_int(query["k"], "k") if "k" in query else 10
         exclude_seen = (
-            _parse_bool(query["exclude_seen"][0], "exclude_seen")
+            _parse_bool(query["exclude_seen"], "exclude_seen")
             if "exclude_seen" in query
             else True
         )
@@ -243,8 +364,11 @@ class _Handler(JSONRequestHandler):
             "scores": [float(s) for s in scores],
         }
 
-    def _score(self) -> tuple[int, dict]:
-        body = self._read_json_body()
+    def _score(self, raw: bytes) -> tuple[int, dict]:
+        try:
+            body = json.loads(raw.decode("utf-8") or "{}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BadRequestError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(body, dict) or "user" not in body or "items" not in body:
             raise BadRequestError("body must be a JSON object with 'user' and 'items'")
         scores = self.server.service.score(body["user"], body["items"])
@@ -258,7 +382,7 @@ class _Handler(JSONRequestHandler):
 def create_server(
     service, host: str = "127.0.0.1", port: int = 0, max_requests: int = 0
 ) -> ServiceHTTPServer:
-    """Bind a threaded JSON server to ``(host, port)`` (0 = ephemeral port).
+    """Bind a thread-per-connection JSON server to ``(host, port)`` (0 = ephemeral port).
 
     The caller owns the lifecycle: ``serve_forever()`` to serve,
     ``shutdown()`` + ``server_close()`` to stop — or
@@ -268,7 +392,7 @@ def create_server(
     return ServiceHTTPServer((host, port), service, max_requests=max_requests)
 
 
-def serve_until_drained(server: JSONHTTPServer) -> None:
+def serve_until_drained(server: ServiceHTTPServer) -> None:
     """Serve a bounded server until its request budget is spent, then drain.
 
     Runs ``serve_forever`` on a helper thread, waits for :attr:`drained`,

@@ -43,6 +43,13 @@ __all__ = ["RecommenderService"]
 _INT64 = np.iinfo(np.int64)
 
 
+def _as_int(value, what: str) -> int:
+    """A Python or numpy integer as a Python int; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadRequestError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_id(value, what: str) -> int:
     """A user or item id as a Python int, or a :class:`BadRequestError`.
 
@@ -51,9 +58,7 @@ def _as_id(value, what: str) -> int:
     a JSON ``1.7`` or ``true`` is never served as id 1 and ``2**63`` is a
     typed 400 instead of an ``OverflowError``.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise BadRequestError(f"{what} must be an integer, got {value!r}")
-    value = int(value)
+    value = _as_int(value, what)
     if not _INT64.min <= value <= _INT64.max:
         raise BadRequestError(f"{what} {value} is outside the int64 range")
     return value
@@ -147,10 +152,7 @@ class RecommenderService:
         return items
 
     def _check_k(self, k: int, engine: _Engine) -> int:
-        try:
-            k = int(k)
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(f"k must be an integer, got {k!r}") from exc
+        k = _as_int(k, "k")
         if k < 1:
             raise BadRequestError(f"k must be positive, got {k}")
         return min(k, engine.n_items)

@@ -25,6 +25,7 @@ RULE_NAMES = {
     "mutable-default-arg",
     "print-call",
     "unclamped-boundary-op",
+    "unused-import",
 }
 
 TWO_EPSILONS = "A = 1e-12\nB = 1e-12\n"

@@ -65,6 +65,12 @@ CASES = [
         2,
         FIXTURES / "bad_suppression_clean.py",
     ),
+    (
+        "unused-import",
+        FIXTURES / "unused_import_bad.py",
+        3,
+        FIXTURES / "unused_import_clean.py",
+    ),
 ]
 
 CASE_IDS = [case[0] for case in CASES]

@@ -47,5 +47,6 @@ def test_cli_exits_nonzero_on_violation_fixtures():
         "mutable-default-arg",
         "print-call",
         "unclamped-boundary-op",
+        "unused-import",
     }
     assert "unclamped_boundary_op_bad.py:7:" in proc.stdout

@@ -1,7 +1,6 @@
 """Integration tests: the autodiff engine training small end-to-end systems."""
 
 import numpy as np
-import pytest
 
 from repro.autodiff import Module, Parameter, Tensor, binary_cross_entropy_with_logits
 from repro.optim import Adam, SGD

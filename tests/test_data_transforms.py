@@ -1,7 +1,6 @@
 """Dataset preprocessing transforms."""
 
 import numpy as np
-import pytest
 
 from repro.data import InteractionDataset, deduplicate, k_core, relabel, subsample_users
 

@@ -1,6 +1,5 @@
 """Sliced evaluation: coldness buckets, multi-K metrics, coverage."""
 
-import numpy as np
 import pytest
 
 from repro.data import temporal_split

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import InteractionDataset, temporal_split
+from repro.data import temporal_split
 from repro.eval import EvalResult, evaluate
 
 

@@ -1,7 +1,6 @@
 """ItemKNN baseline and taxonomy node labelling."""
 
 import numpy as np
-import pytest
 
 from repro.eval import evaluate
 from repro.models import ItemKNN, Random, create_model

@@ -1,7 +1,6 @@
 """Model-specific invariants beyond the shared smoke tests."""
 
 import numpy as np
-import pytest
 
 from repro.models import (
     AGCN,

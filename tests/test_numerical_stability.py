@@ -6,7 +6,6 @@ drive the substrate into those corners deliberately.
 """
 
 import numpy as np
-import pytest
 
 from repro.autodiff import Parameter, Tensor
 from repro.manifolds import Lorentz, PoincareBall, poincare_to_lorentz_np

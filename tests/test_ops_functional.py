@@ -1,7 +1,6 @@
 """Free ops (concat/stack/where/...) and functional layers, values + grads."""
 
 import numpy as np
-import pytest
 
 from repro.autodiff import (
     Tensor,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Module, Parameter, Tensor
+from repro.autodiff import Module, Parameter
 from repro.manifolds import PoincareBall
 
 

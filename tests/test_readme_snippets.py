@@ -1,7 +1,5 @@
 """Documentation contract: the README/docstring quickstart really runs."""
 
-import numpy as np
-
 
 class TestQuickstartContract:
     def test_package_quickstart(self):

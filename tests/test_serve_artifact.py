@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    MODEL_SCHEMA,
     ArtifactError,
     SchemaMismatchError,
     UnknownScoreFnError,

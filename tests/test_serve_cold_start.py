@@ -2,7 +2,8 @@
 
 Serving runs the frozen Eq. 17 arrays, so a server process must not pay
 for the training stack at start-up: no scipy, no networkx, no autodiff,
-manifolds, models, taxonomy or train module.  Each check runs in a fresh
+manifolds, models, taxonomy or train module.  Its HTTP layer is its own,
+so ``http.server`` and the ``email`` header parser stay out too.  Each check runs in a fresh
 interpreter, serves real requests through ``repro.cli.main`` and then
 lists what ``sys.modules`` holds, for a plain artifact and for the
 benchmark's swap-phase command line (``<link> --workers 1
@@ -25,7 +26,10 @@ from repro.serve import export_shared, publish_artifact
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "fixtures" / "serve" / "golden_model.npz"
 
-HEAVY = "scipy networkx repro.autodiff repro.manifolds repro.models repro.taxonomy repro.train"
+HEAVY = (
+    "scipy networkx repro.autodiff repro.manifolds repro.models repro.taxonomy repro.train "
+    "http.server email"
+)
 
 # Runs ``repro.cli.main(argv)``, then prints the heavy modules it loaded as JSON.
 CHILD = f"""

@@ -91,6 +91,16 @@ class TestBadRequests:
         with pytest.raises(BadRequestError, match="k must be an integer"):
             service.recommend(0, k="ten")
 
+    @pytest.mark.parametrize("k", [2.7, 3.0, True, "3", None], ids=repr)
+    def test_k_of_a_kind_ids_refuse_is_rejected_not_coerced(self, service, k):
+        with pytest.raises(BadRequestError, match="k must be an integer"):
+            service.recommend(0, k=k)
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.int32(3), np.uint8(3)], ids=repr)
+    def test_numpy_integer_k_is_served(self, service, k):
+        items, _ = service.recommend(0, k=k)
+        assert len(items) == 3
+
     def test_out_of_range_items_rejected(self, service, artifact):
         with pytest.raises(BadRequestError, match="out of range"):
             service.score(0, [0, artifact.n_items])

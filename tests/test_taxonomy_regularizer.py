@@ -1,7 +1,6 @@
 """Taxonomy-aware regularisation L_reg (Eq. 8)."""
 
 import numpy as np
-import pytest
 
 from repro.autodiff import Tensor
 from repro.manifolds import PoincareBall
